@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -45,7 +46,54 @@ const SpecInode* SpecFs::Find(Inum ino) const {
 
 SpecInode* SpecFs::FindMutable(Inum ino) {
   auto it = imap_.find(ino);
-  return it == imap_.end() ? nullptr : &it->second;
+  if (it == imap_.end()) {
+    return nullptr;
+  }
+  LogPreImage(ino);
+  return &it->second;
+}
+
+void SpecFs::StartPreImageLog() {
+  log_.clear();
+  logging_ = true;
+}
+
+std::vector<PreImage> SpecFs::TakePreImageLog() {
+  logging_ = false;
+  return std::move(log_);
+}
+
+void SpecFs::LogPreImage(Inum ino) {
+  if (!logging_) {
+    return;
+  }
+  // An operation touches at most three inodes, so a linear scan is cheapest.
+  for (const PreImage& p : log_) {
+    if (p.ino == ino) {
+      return;
+    }
+  }
+  const SpecInode* node = Find(ino);
+  log_.push_back(PreImage{ino, node == nullptr ? std::nullopt : std::optional(*node)});
+}
+
+void SpecFs::Create(Inum parent, const std::string& name, FileType type) {
+  Inum ino = std::exchange(forced_inum_, kInvalidInum);
+  if (ino == kInvalidInum) {
+    ino = AllocInum();
+  } else {
+    ATOMFS_CHECK(imap_.count(ino) == 0);
+  }
+  LogPreImage(ino);
+  SpecInode node;
+  node.type = type;
+  imap_.emplace(ino, std::move(node));
+  FindMutable(parent)->links.emplace(name, ino);
+}
+
+void SpecFs::Free(Inum ino) {
+  LogPreImage(ino);
+  imap_.erase(ino);
 }
 
 Result<Inum> SpecFs::Resolve(const Path& path) const {
@@ -85,15 +133,10 @@ Status SpecFs::Mkdir(const Path& path) {
   if (!parent.ok()) {
     return parent.status();
   }
-  SpecInode* pnode = FindMutable(*parent);
-  if (pnode->links.count(path.Base()) != 0) {
+  if (Find(*parent)->links.count(path.Base()) != 0) {
     return Status(Errc::kExist);
   }
-  const Inum ino = AllocInum();
-  SpecInode node;
-  node.type = FileType::kDir;
-  imap_.emplace(ino, std::move(node));
-  pnode->links.emplace(path.Base(), ino);
+  Create(*parent, path.Base(), FileType::kDir);
   return Status::Ok();
 }
 
@@ -105,15 +148,10 @@ Status SpecFs::Mknod(const Path& path) {
   if (!parent.ok()) {
     return parent.status();
   }
-  SpecInode* pnode = FindMutable(*parent);
-  if (pnode->links.count(path.Base()) != 0) {
+  if (Find(*parent)->links.count(path.Base()) != 0) {
     return Status(Errc::kExist);
   }
-  const Inum ino = AllocInum();
-  SpecInode node;
-  node.type = FileType::kFile;
-  imap_.emplace(ino, std::move(node));
-  pnode->links.emplace(path.Base(), ino);
+  Create(*parent, path.Base(), FileType::kFile);
   return Status::Ok();
 }
 
@@ -125,20 +163,20 @@ Status SpecFs::Rmdir(const Path& path) {
   if (!parent.ok()) {
     return parent.status();
   }
-  SpecInode* pnode = FindMutable(*parent);
+  const SpecInode* pnode = Find(*parent);
   auto it = pnode->links.find(path.Base());
   if (it == pnode->links.end()) {
     return Status(Errc::kNoEnt);
   }
-  SpecInode* target = FindMutable(it->second);
+  const SpecInode* target = Find(it->second);
   if (target->type != FileType::kDir) {
     return Status(Errc::kNotDir);
   }
   if (!target->links.empty()) {
     return Status(Errc::kNotEmpty);
   }
-  imap_.erase(it->second);
-  pnode->links.erase(it);
+  Free(it->second);
+  FindMutable(*parent)->links.erase(it);
   return Status::Ok();
 }
 
@@ -150,7 +188,7 @@ Status SpecFs::Unlink(const Path& path) {
   if (!parent.ok()) {
     return parent.status();
   }
-  SpecInode* pnode = FindMutable(*parent);
+  const SpecInode* pnode = Find(*parent);
   auto it = pnode->links.find(path.Base());
   if (it == pnode->links.end()) {
     return Status(Errc::kNoEnt);
@@ -158,8 +196,8 @@ Status SpecFs::Unlink(const Path& path) {
   if (Find(it->second)->type == FileType::kDir) {
     return Status(Errc::kIsDir);
   }
-  imap_.erase(it->second);
-  pnode->links.erase(it);
+  Free(it->second);
+  FindMutable(*parent)->links.erase(it);
   return Status::Ok();
 }
 
@@ -179,7 +217,7 @@ Status SpecFs::Rename(const Path& src, const Path& dst) {
   if (!dparent.ok()) {
     return dparent.status();
   }
-  SpecInode* sdir = FindMutable(*sparent);
+  const SpecInode* sdir = Find(*sparent);
   auto sit = sdir->links.find(src.Base());
   if (sit == sdir->links.end()) {
     return Status(Errc::kNoEnt);
@@ -188,12 +226,12 @@ Status SpecFs::Rename(const Path& src, const Path& dst) {
   if (src == dst) {
     return Status::Ok();
   }
-  SpecInode* ddir = FindMutable(*dparent);
+  const SpecInode* ddir = Find(*dparent);
   auto dit = ddir->links.find(dst.Base());
   if (dit != ddir->links.end()) {
     const Inum dnode = dit->second;
     const SpecInode* starget = Find(snode);
-    SpecInode* dtarget = FindMutable(dnode);
+    const SpecInode* dtarget = Find(dnode);
     if (starget->type == FileType::kDir && dtarget->type != FileType::kDir) {
       return Status(Errc::kNotDir);
     }
@@ -203,16 +241,10 @@ Status SpecFs::Rename(const Path& src, const Path& dst) {
     if (dtarget->type == FileType::kDir && !dtarget->links.empty()) {
       return Status(Errc::kNotEmpty);
     }
-    imap_.erase(dnode);
-    // Re-find: map mutation above does not invalidate node pointers for
-    // std::map, but re-find keeps the code robust against container changes.
-    ddir = FindMutable(*dparent);
-    ddir->links.erase(dst.Base());
+    Free(dnode);
   }
-  sdir = FindMutable(*sparent);
-  sdir->links.erase(src.Base());
-  ddir = FindMutable(*dparent);
-  ddir->links[dst.Base()] = snode;
+  FindMutable(*sparent)->links.erase(src.Base());
+  FindMutable(*dparent)->links[dst.Base()] = snode;
   return Status::Ok();
 }
 
@@ -233,20 +265,16 @@ Status SpecFs::Exchange(const Path& a, const Path& b) {
   if (!bparent.ok()) {
     return bparent.status();
   }
-  SpecInode* adir = FindMutable(*aparent);
-  auto ait = adir->links.find(a.Base());
-  if (ait == adir->links.end()) {
+  if (Find(*aparent)->links.count(a.Base()) == 0) {
     return Status(Errc::kNoEnt);
   }
   if (a == b) {
     return Status::Ok();
   }
-  SpecInode* bdir = FindMutable(*bparent);
-  auto bit = bdir->links.find(b.Base());
-  if (bit == bdir->links.end()) {
+  if (Find(*bparent)->links.count(b.Base()) == 0) {
     return Status(Errc::kNoEnt);
   }
-  std::swap(ait->second, bit->second);
+  std::swap(FindMutable(*aparent)->links.at(a.Base()), FindMutable(*bparent)->links.at(b.Base()));
   return Status::Ok();
 }
 
@@ -302,14 +330,14 @@ Result<size_t> SpecFs::Write(const Path& path, uint64_t offset, std::span<const 
   if (!ino.ok()) {
     return ino.status();
   }
-  SpecInode* node = FindMutable(*ino);
-  if (node->type != FileType::kFile) {
+  if (Find(*ino)->type != FileType::kFile) {
     return Errc::kIsDir;
   }
   const uint64_t end = offset + data.size();
   if (end > kMaxFileSize) {
     return Errc::kNoSpace;
   }
+  SpecInode* node = FindMutable(*ino);
   if (end > node->data.size()) {
     node->data.resize(end);  // zero-fills any hole
   }
@@ -322,14 +350,13 @@ Status SpecFs::Truncate(const Path& path, uint64_t size) {
   if (!ino.ok()) {
     return ino.status();
   }
-  SpecInode* node = FindMutable(*ino);
-  if (node->type != FileType::kFile) {
+  if (Find(*ino)->type != FileType::kFile) {
     return Status(Errc::kIsDir);
   }
   if (size > kMaxFileSize) {
     return Status(Errc::kNoSpace);
   }
-  node->data.resize(size);  // grow zero-fills, shrink truncates
+  FindMutable(*ino)->data.resize(size);  // grow zero-fills, shrink truncates
   return Status::Ok();
 }
 

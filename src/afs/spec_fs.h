@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,13 @@ struct SpecInode {
   friend bool operator==(const SpecInode& a, const SpecInode& b) {
     return a.type == b.type && a.links == b.links && a.data == b.data;
   }
+};
+
+// An inode's content before the first logged mutation of it (see
+// SpecFs::StartPreImageLog); absent `before` means the mutation created it.
+struct PreImage {
+  Inum ino = kInvalidInum;
+  std::optional<SpecInode> before;
 };
 
 class SpecFs : public FileSystem {
@@ -100,12 +108,35 @@ class SpecFs : public FileSystem {
   // with the concrete inums it forces in (see crlh/effects.h).
   void SetNextInum(Inum next) { next_inum_ = next; }
 
+  // The next creation takes inode number `ino` instead of the allocator's;
+  // kInvalidInum cancels. A forced number that is already in use fails
+  // ATOMFS_CHECK at the creation.
+  void ForceNextInum(Inum ino) { forced_inum_ = ino; }
+
+  // Pre-image log: from StartPreImageLog until TakePreImageLog, the first
+  // mutation of each inode (through FindMutable, a creation or a free)
+  // records its prior content, so an operation's diff costs O(touched
+  // inodes). An entry can repeat the inode's current content when a
+  // mutator touched it without changing it. Mutations through
+  // imap_mutable() are not logged.
+  void StartPreImageLog();
+  std::vector<PreImage> TakePreImageLog();
+
  private:
   // Resolves path.Dir() to the parent directory. Shared by the mutating ops.
   Result<Inum> ResolveParent(const Path& path) const;
+  // Logs `ino`'s pre-image if logging is on and it is not logged yet.
+  void LogPreImage(Inum ino);
+  // Creates an empty inode of `type` linked as `name` in directory `parent`.
+  void Create(Inum parent, const std::string& name, FileType type);
+  // Frees `ino`; the caller removes the link to it.
+  void Free(Inum ino);
 
   std::map<Inum, SpecInode> imap_;
   Inum next_inum_ = kRootInum + 1;
+  Inum forced_inum_ = kInvalidInum;
+  bool logging_ = false;
+  std::vector<PreImage> log_;
 };
 
 }  // namespace atomfs

@@ -3,81 +3,21 @@
 #include "src/util/check.h"
 
 namespace atomfs {
-namespace {
-
-// The inodes an operation can touch are those along its argument paths (plus
-// one created/freed inode); diffing the full imap per Aop would be O(tree).
-// We instead snapshot only the inodes resolvable from the call's paths
-// before the op, then compare against the after-state of that set plus
-// whatever inums appear new.
-std::vector<Inum> TouchableInums(const SpecFs& spec, const OpCall& call) {
-  std::vector<Inum> inos;
-  auto add_path = [&](const Path& p) {
-    Inum cur = kRootInum;
-    inos.push_back(cur);
-    for (const auto& name : p.parts) {
-      const SpecInode* node = spec.Find(cur);
-      if (node == nullptr || node->type != FileType::kDir) {
-        return;
-      }
-      auto it = node->links.find(name);
-      if (it == node->links.end()) {
-        return;
-      }
-      cur = it->second;
-      inos.push_back(cur);
-    }
-  };
-  add_path(call.a);
-  if (call.kind == OpKind::kRename || call.kind == OpKind::kExchange) {
-    add_path(call.b);
-  }
-  return inos;
-}
-
-}  // namespace
 
 OpResult ApplyWithEffects(SpecFs& spec, const OpCall& call, Inum forced_ino,
                           std::vector<InodeEffect>* effects) {
-  // Snapshot the touchable inodes.
-  std::vector<Inum> watch = TouchableInums(spec, call);
-  std::map<Inum, SpecInode> before;
-  for (Inum ino : watch) {
-    const SpecInode* node = spec.Find(ino);
-    if (node != nullptr) {
-      before.emplace(ino, *node);
-    }
-  }
-  // Burn one inum as a watermark: anything the op creates will be numbered
-  // above it (SpecFs allocates monotonically), so we can identify the new
-  // inode afterwards.
-  const Inum watermark = spec.AllocInum();
-
+  spec.ForceNextInum(forced_ino);
+  spec.StartPreImageLog();
   OpResult result = RunOp(spec, call);
-
-  // At most one inode is created per operation, and it gets watermark + 1.
-  Inum created = spec.Find(watermark + 1) != nullptr ? watermark + 1 : kInvalidInum;
-  ATOMFS_CHECK(spec.Find(watermark + 2) == nullptr);
-  if (created != kInvalidInum && forced_ino != kInvalidInum && forced_ino != created) {
-    RemapInum(spec, created, forced_ino);
-    created = forced_ino;
-  }
-
+  spec.ForceNextInum(kInvalidInum);
+  std::vector<InodeEffect> touched = spec.TakePreImageLog();
   if (effects != nullptr) {
-    effects->clear();
-    for (const auto& [ino, old_node] : before) {
-      const SpecInode* now = spec.Find(ino);
-      if (now == nullptr) {
-        effects->push_back(InodeEffect{ino, old_node, std::nullopt});
-      } else if (!(*now == old_node)) {
-        effects->push_back(InodeEffect{ino, old_node, *now});
-      }
-    }
-    if (created != kInvalidInum) {
-      const SpecInode* now = spec.Find(created);
-      ATOMFS_CHECK(now != nullptr);
-      effects->push_back(InodeEffect{created, std::nullopt, *now});
-    }
+    // Drop inodes a mutator touched without changing.
+    std::erase_if(touched, [&](const InodeEffect& e) {
+      const SpecInode* now = spec.Find(e.ino);
+      return e.before.has_value() ? now != nullptr && *now == *e.before : now == nullptr;
+    });
+    *effects = std::move(touched);
   }
   return result;
 }
@@ -92,41 +32,47 @@ void RollbackEffects(SpecFs& spec, const std::vector<InodeEffect>& effects) {
   }
 }
 
-void RemapInum(SpecFs& spec, Inum from, Inum to) {
+void RemapInum(SpecFs& spec, Inum from, Inum to, Inum parent) {
   auto& imap = spec.imap_mutable();
-  auto it = imap.find(from);
-  if (it != imap.end()) {
+  if (auto node = imap.extract(from)) {
     ATOMFS_CHECK(imap.find(to) == imap.end());
-    SpecInode node = std::move(it->second);
-    imap.erase(it);
-    imap.emplace(to, std::move(node));
+    node.key() = to;
+    imap.insert(std::move(node));
   }
-  for (auto& [ino, node] : imap) {
-    for (auto& [name, child] : node.links) {
+  auto relink = [&](SpecInode& dir) {
+    bool hit = false;
+    for (auto& [name, child] : dir.links) {
       if (child == from) {
         child = to;
+        hit = true;
       }
     }
+    return hit;
+  };
+  if (parent != kInvalidInum) {
+    auto it = imap.find(parent);
+    if (it != imap.end() && relink(it->second)) {
+      return;
+    }
+  }
+  for (auto& [ino, node] : imap) {
+    relink(node);
   }
 }
 
 void RemapInum(std::vector<InodeEffect>& effects, Inum from, Inum to) {
-  auto remap_node = [&](std::optional<SpecInode>& node) {
-    if (!node.has_value()) {
-      return;
-    }
-    for (auto& [name, child] : node->links) {
-      if (child == from) {
-        child = to;
-      }
-    }
-  };
   for (auto& e : effects) {
     if (e.ino == from) {
       e.ino = to;
     }
-    remap_node(e.before);
-    remap_node(e.after);
+    if (!e.before.has_value()) {
+      continue;
+    }
+    for (auto& [name, child] : e.before->links) {
+      if (child == from) {
+        child = to;
+      }
+    }
   }
 }
 

@@ -7,15 +7,17 @@
 // abstract state ("first roll back the effects applied last").
 //
 // The paper records effects as micro-operations (OPins, OPcreate, ...) at
-// inode granularity. We record them as per-inode before/after pairs computed
-// by diffing the abstract state across the Aop — the same information at the
-// same granularity, but obtained mechanically from the specification itself,
-// so the effect log can never drift from the spec's semantics.
+// inode granularity. We record the pre-image of every inode the Aop changed;
+// its post-image is the live abstract state right after the Aop. SpecFs logs
+// each pre-image the first time a mutator touches the inode (SpecFs::
+// StartPreImageLog), so the effect set is exact — the same information at the
+// same granularity, obtained mechanically from the specification itself so
+// the effect log can never drift from the spec's semantics — and costs
+// O(touched inodes), not O(tree) or O(path).
 
 #ifndef ATOMFS_SRC_CRLH_EFFECTS_H_
 #define ATOMFS_SRC_CRLH_EFFECTS_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/afs/op.h"
@@ -23,18 +25,17 @@
 
 namespace atomfs {
 
-// One modified abstract inode: absent `before` means the Aop created it,
-// absent `after` means the Aop freed it.
-struct InodeEffect {
-  Inum ino = kInvalidInum;
-  std::optional<SpecInode> before;
-  std::optional<SpecInode> after;
-};
+// One modified abstract inode and its content before the Aop: absent
+// `before` means the Aop created it; an inode missing after the Aop was
+// freed by it.
+using InodeEffect = PreImage;
 
-// Runs `call` on `spec` (mutating it) and records the per-inode effects. If
-// `forced_ino` is valid and the operation creates an inode, the new inode is
-// given that number (so the ghost abstract state can mirror concrete inode
-// numbers, or use a ghost placeholder for helped creations).
+// Runs `call` on `spec` (mutating it) and, if `effects` is non-null, records
+// the effects: one entry per inode whose content or existence the Aop
+// changed. If `forced_ino` is valid and the operation creates an inode, the
+// new inode is given that number directly (so the ghost abstract state can
+// mirror concrete inode numbers, or use a ghost placeholder for helped
+// creations); a forced number already in use fails ATOMFS_CHECK.
 OpResult ApplyWithEffects(SpecFs& spec, const OpCall& call, Inum forced_ino,
                           std::vector<InodeEffect>* effects);
 
@@ -42,10 +43,12 @@ OpResult ApplyWithEffects(SpecFs& spec, const OpCall& call, Inum forced_ino,
 // helped operations in reverse Helplist order.
 void RollbackEffects(SpecFs& spec, const std::vector<InodeEffect>& effects);
 
-// Renames inode `from` to `to` throughout `spec` (the imap key and every
-// link referring to it). Used when a helped creation's ghost placeholder
-// becomes a concrete inum.
-void RemapInum(SpecFs& spec, Inum from, Inum to);
+// Renames inode `from` to `to` in `spec`: the imap key and the link that
+// refers to it. `parent` is the directory holding that link; the search
+// falls back to every directory when `parent` is kInvalidInum or does not
+// link `from`. Used when a helped creation's ghost placeholder becomes a
+// concrete inum.
+void RemapInum(SpecFs& spec, Inum from, Inum to, Inum parent);
 
 // Same remapping applied to a recorded effect list.
 void RemapInum(std::vector<InodeEffect>& effects, Inum from, Inum to);

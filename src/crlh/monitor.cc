@@ -306,21 +306,31 @@ void CrlhMonitor::OnOptWalkFallback(Tid tid) {
 
 void CrlhMonitor::ApplyAopLocked(Tid tid, Descriptor& d, Inum forced_ino, bool record_effects) {
   ++seq_;
-  d.abs_result = ApplyWithEffects(aspec_, d.call, forced_ino,
-                                  record_effects ? &d.effects : nullptr);
+  std::vector<InodeEffect> unrecorded;
+  std::vector<InodeEffect>& diff = record_effects ? d.effects : unrecorded;
+  d.abs_result = ApplyWithEffects(aspec_, d.call, forced_ino, &diff);
   d.has_abs_result = true;
   (void)tid;
-  CheckGoodAfsLocked("after Aop");
+  CheckGoodAfsLocked(diff);
 }
 
-void CrlhMonitor::CheckGoodAfsLocked(const char* where) {
+void CrlhMonitor::CheckGoodAfsLocked(const std::vector<InodeEffect>& diff) {
+  // The diff check is exact only from a well-formed, indexed pre-state; a
+  // rejection is confirmed by the full walk, whose verdict stands.
+  bool well_formed = indexed_ && index_.Advance(aspec_, diff);
+  if (!well_formed) {
+    well_formed = aspec_.WellFormed();
+    if (well_formed) {
+      index_.Rebuild(aspec_);
+    }
+    indexed_ = well_formed;
+  }
   if (!opts_.check_invariants) {
     return;
   }
-  const bool well_formed = aspec_.WellFormed();
   ReportInvariantLocked(InvariantKind::kGoodAfs, 0, well_formed);
   if (!well_formed) {
-    Violation(std::string("GoodAFS violated ") + where);
+    Violation("GoodAFS violated after Aop");
   }
 }
 
@@ -406,7 +416,8 @@ void CrlhMonitor::HelpThreadLocked(Tid helper, Tid target, HelpReason reason) {
 }
 
 void CrlhMonitor::RemapPlaceholderLocked(Inum from, Inum to) {
-  RemapInum(aspec_, from, to);
+  RemapInum(aspec_, from, to, index_.Parent(from));
+  index_.Remap(aspec_, from, to);
   for (auto& [tid, d] : pool_) {
     RemapInum(d.effects, from, to);
     for (Inum& ino : d.fut_lock_path) {
@@ -576,6 +587,24 @@ bool CrlhMonitor::CheckQuiescent(const SpecFs& concrete_snapshot) {
     Violation("Helplist-consistency violated: non-empty Helplist at quiescence");
     good = false;
   }
+  // Belt and braces for the per-Aop diff check: walk the whole tree, and
+  // require the parent index to mirror it.
+  GoodAfsIndex fresh;
+  const bool well_formed = aspec_.WellFormed();
+  if (well_formed) {
+    fresh.Rebuild(aspec_);
+  }
+  const bool indexed = well_formed && fresh == index_;
+  ReportInvariantLocked(InvariantKind::kGoodAfs, 0, indexed);
+  if (!well_formed) {
+    Violation("GoodAFS violated at quiescence");
+    good = false;
+  } else if (!indexed) {
+    Violation("GoodAFS parent index diverged from the abstract tree at quiescence");
+    good = false;
+  }
+  index_ = std::move(fresh);
+  indexed_ = well_formed;
   const bool equal = StructurallyEqual(aspec_, concrete_snapshot);
   ReportInvariantLocked(InvariantKind::kAbstractConcrete, 0, equal);
   if (!equal) {

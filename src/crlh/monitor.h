@@ -14,6 +14,13 @@
 //     invariants, Helplist-consistency, Lockpath-wellformed, GoodAFS) and
 //     on demand for the abstract-concrete relation (roll-back mechanism).
 //
+// GoodAFS is checked after every Aop on the Aop's diff alone: the monitor
+// keeps a parent index mirroring the abstract tree (crlh/good_afs.h), so a
+// monitored op costs O(touched inodes x path depth), not O(tree). When the
+// diff check rejects, the full SpecFs::WellFormed walk confirms and its
+// verdict is the one reported; CheckQuiescent runs the full walk too and
+// re-validates the index against the whole tree.
+//
 // The monitor serializes all events with one mutex, which is what makes each
 // (concrete step, ghost update) pair atomic (the concrete step is protected
 // by the inode locks the file system holds while emitting the event).
@@ -34,6 +41,7 @@
 #include "src/afs/spec_fs.h"
 #include "src/core/observer.h"
 #include "src/crlh/ghost.h"
+#include "src/crlh/good_afs.h"
 #include "src/obs/sink.h"
 
 namespace atomfs {
@@ -117,9 +125,10 @@ class CrlhMonitor : public FsObserver {
 
   // --- state checks ----------------------------------------------------------
 
-  // Quiescent check: no in-flight operations; the abstract and concrete
-  // trees must match exactly (up to inum naming). Appends a violation and
-  // returns false on mismatch.
+  // Quiescent check: no in-flight operations; the abstract tree must be
+  // well-formed (full walk) and match its parent index, and the abstract
+  // and concrete trees must match exactly (up to inum naming). Appends a
+  // violation and returns false on mismatch.
   bool CheckQuiescent(const SpecFs& concrete_snapshot);
 
   // Mid-flight abstract-concrete relation (§4.4): rolls back the effects of
@@ -141,7 +150,7 @@ class CrlhMonitor : public FsObserver {
   void ApplyAopLocked(Tid tid, Descriptor& d, Inum forced_ino, bool record_effects);
   void HelpThreadLocked(Tid helper, Tid target, HelpReason reason);
   void ComputeFutLockPathLocked(Descriptor& d);
-  void CheckGoodAfsLocked(const char* where);
+  void CheckGoodAfsLocked(const std::vector<InodeEffect>& diff);
   void RemapPlaceholderLocked(Inum from, Inum to);
 
   Options opts_;
@@ -150,6 +159,10 @@ class CrlhMonitor : public FsObserver {
   std::map<Tid, Descriptor> pool_;
   std::vector<Tid> helplist_;
   SpecFs aspec_;
+  // Parent index of aspec_; `indexed_` is false while aspec_ is ill-formed
+  // (after a GoodAFS violation), when each Aop falls back to the full walk.
+  GoodAfsIndex index_;
+  bool indexed_ = true;
   Inum ghost_next_ = kGhostInumBase;
   uint64_t seq_ = 0;
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -464,6 +465,7 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
 
   std::mutex mu;
   std::condition_variable cv;
+  bool driver_parked = false;
   bool reader_registered = false;
 
   ShardedFs::Options o;
@@ -477,6 +479,8 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
   // been routed into the footprint (and is therefore obliged to help).
   o.test_pause_after_detach = [&] {
     std::unique_lock<std::mutex> lk(mu);
+    driver_parked = true;
+    cv.notify_all();
     cv.wait(lk, [&] { return reader_registered; });
   };
   ShardedFs fs(std::move(o));
@@ -484,7 +488,15 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
   ASSERT_TRUE(fs.Mkdir("/tb").ok());
   ASSERT_TRUE(WriteString(fs, "/ta/m", "in flight").ok());
 
-  std::thread driver([&] { ASSERT_TRUE(fs.Rename("/ta/m", "/tb/m").ok()); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::thread driver([&] { EXPECT_TRUE(fs.Rename("/ta/m", "/tb/m").ok()); });
+  {
+    // Start the reader only once the migration is published: a reader that
+    // ran first would never see its footprint.
+    std::unique_lock<std::mutex> lk(mu);
+    EXPECT_TRUE(cv.wait_until(lk, deadline, [&] { return driver_parked; }))
+        << "driver never reached the detach window";
+  }
 
   // The reader dispatches into the published migration's footprint, records
   // its participation (a stale-route retry), and blocks helping.
@@ -493,9 +505,10 @@ TEST(ShardedFsHelping, BlockedSideThreadIsHelpedAcrossShards) {
     // The reader linearizes after the migration it helped complete.
     EXPECT_EQ(st.code(), Errc::kNoEnt);
   });
-  while (fs.stale_route_retries() == 0) {
+  while (fs.stale_route_retries() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
+  EXPECT_GE(fs.stale_route_retries(), 1u) << "reader never routed into the migration";
   {
     std::lock_guard<std::mutex> lk(mu);
     reader_registered = true;
