@@ -105,7 +105,9 @@ class SpecFs : public FileSystem {
 
   // Moves the internal allocator. The CRL-H monitor points its ghost copy at
   // a reserved scratch range so spec-allocated numbers can never collide
-  // with the concrete inums it forces in (see crlh/effects.h).
+  // with the concrete inums it forces in (see crlh/effects.h). A state
+  // assembled through imap_mutable() (a file system's SnapshotSpec) must
+  // move it past the inums it placed before it creates anything.
   void SetNextInum(Inum next) { next_inum_ = next; }
 
   // The next creation takes inode number `ino` instead of the allocator's;

@@ -912,6 +912,9 @@ SpecFs AtomFs::SnapshotSpec() const {
   SpecFs out;
   out.imap_mutable().clear();
   SnapshotInto(root_.get(), out);
+  // Placing inodes does not move the allocator; a caller that keeps mutating
+  // the snapshot (TxnManager's mirror) must get fresh inums.
+  out.SetNextInum(out.imap().rbegin()->first + 1);
   return out;
 }
 

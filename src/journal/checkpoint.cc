@@ -1,6 +1,5 @@
 #include "src/journal/checkpoint.h"
 
-#include <errno.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -59,24 +58,9 @@ Status WriteFileDurably(const std::string& path, std::string_view bytes) {
   if (fd < 0) {
     return Status(Errc::kIo);
   }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      ::close(fd);
-      return Status(Errc::kIo);
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fdatasync(fd) != 0) {
-    ::close(fd);
-    return Status(Errc::kIo);
-  }
+  const bool ok = WriteFully(fd, bytes).ok() && ::fdatasync(fd) == 0;
   ::close(fd);
-  return Status();
+  return ok ? Status() : Status(Errc::kIo);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "src/afs/op.h"
@@ -14,22 +13,6 @@
 #include "src/workload/trace.h"
 
 namespace atomfs {
-
-std::string_view WalRecordTypeName(WalRecordType t) {
-  switch (t) {
-    case WalRecordType::kBegin:
-      return "begin";
-    case WalRecordType::kOp:
-      return "op";
-    case WalRecordType::kCommit:
-      return "commit";
-    case WalRecordType::kAbort:
-      return "abort";
-    case WalRecordType::kCkpt:
-      return "ckpt";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -119,6 +102,21 @@ Status WalWriter::Poison(Status s) {
   return status_;
 }
 
+Status WriteFully(int fd, std::string_view bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return Status(Errc::kIo);  // error, or no forward progress
+    }
+    off += static_cast<size_t>(n);
+  }
+  return Status();
+}
+
 Status WalWriter::WriteAll(std::string_view bytes) {
   if (opts_.write_fault) {
     const int err = opts_.write_fault(bytes);
@@ -133,21 +131,7 @@ Status WalWriter::WriteAll(std::string_view bytes) {
       return Status(Errc::kIo);
     }
   }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status(Errc::kIo);
-    }
-    if (n == 0) {
-      return Status(Errc::kIo);  // no forward progress
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status();
+  return WriteFully(fd_, bytes);
 }
 
 Status WalWriter::Append(WalRecordType type, uint64_t txid, std::string_view payload) {
@@ -260,15 +244,6 @@ WalScan ScanWalBytes(std::string_view bytes) {
   return scan;
 }
 
-Result<WalScan> ScanWal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Errc::kNoEnt;
-  }
-  std::string bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>{});
-  return ScanWalBytes(bytes);
-}
-
 WalRecoveryStats RecoverWalBytes(std::string_view bytes, FileSystem& fs) {
   const WalScan scan = ScanWalBytes(bytes);
   WalRecoveryStats stats;
@@ -350,15 +325,6 @@ WalRecoveryStats RecoverWalBytes(std::string_view bytes, FileSystem& fs) {
   // the crash beat their commit record, so they are invisible — whole.
   stats.discarded = open.size();
   return stats;
-}
-
-Result<WalRecoveryStats> RecoverWal(const std::string& path, FileSystem& fs) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Errc::kNoEnt;
-  }
-  std::string bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>{});
-  return RecoverWalBytes(bytes, fs);
 }
 
 }  // namespace atomfs

@@ -611,6 +611,8 @@ SpecFs RetryFs::SnapshotSpec() const {
     }
     out.imap_mutable()[node->ino] = std::move(spec);
   }
+  // Placing inodes does not move the allocator; see AtomFs::SnapshotSpec.
+  out.SetNextInum(out.imap().rbegin()->first + 1);
   return out;
 }
 

@@ -44,11 +44,13 @@ TxnManager::TxnManager(Options options)
       fsync_commits_(options.fsync_commits),
       checkpoint_bytes_(options.checkpoint_bytes),
       checkpoint_units_(options.checkpoint_units),
-      mirror_(std::move(options.initial)),
-      next_txid_(options.first_txid < 1 ? 1 : options.first_txid),
-      next_ckpt_id_(options.first_ckpt_id < 1 ? 1 : options.first_ckpt_id),
-      recovered_units_(options.recovered_units) {
+      mirror_(std::move(options.initial)) {
   ATOMFS_CHECK(inner_ != nullptr);
+  if (const auto& r = options.recovered) {
+    next_txid_ = r->max_txid + 1;
+    next_ckpt_id_ = r->generation + 1;
+    recovered_units_ = r->committed_units;
+  }
   if (!options.wal_path.empty()) {
     wal_ = std::make_unique<WalWriter>(options.wal_path, std::move(options.wal));
     ATOMFS_CHECK(wal_->ok() && "cannot open transaction WAL for append");
@@ -191,12 +193,15 @@ Status TxnManager::LogCommittedLocked(TxnId id, const std::vector<OpCall>& ops) 
   return s.ok() ? Status::Ok() : Status(Errc::kIo);
 }
 
-void TxnManager::RecordUnitLocked(TxnId id, const std::vector<OpCall>& ops) {
+void TxnManager::FinishUnitLocked(TxnId id, const std::vector<OpCall>& ops,
+                                  const Footprint& fp) {
+  BumpVersionsLocked(fp);
   if (record_commit_log_) {
     commit_log_.push_back(CommitDescriptor{id, commit_seq_, ops});
   }
   ++commit_seq_;
   ++units_since_ckpt_;
+  MaybeCheckpointLocked();
 }
 
 // --- checkpointing -----------------------------------------------------------
@@ -268,7 +273,6 @@ Result<TxnId> TxnManager::Begin() {
   txn->view = mirror_;  // snapshot isolation: a private deep copy
   const TxnId id = txn->id;
   open_.emplace(id, std::move(txn));
-  ++stats_.begins;
   m_begins_.Inc();
   GhostEvent(TraceEventType::kTxnBegin, id, 0, 0);
   return id;
@@ -302,7 +306,6 @@ Status TxnManager::Abort(TxnId id) {
     return Status(Errc::kInval);
   }
   open_.erase(it);
-  ++stats_.aborts;
   m_aborts_.Inc();
   GhostEvent(TraceEventType::kTxnAbort, id, /*conflict=*/0, 0);
   return Status::Ok();
@@ -322,7 +325,6 @@ Status TxnManager::Commit(TxnId id) {
     return Status(Errc::kIo);  // fail-stopped journal: nothing commits
   }
   if (!ValidateLocked(*txn)) {
-    ++stats_.conflicts;
     m_conflicts_.Inc();
     GhostEvent(TraceEventType::kTxnAbort, id, /*conflict=*/1, 0);
     return Status(Errc::kTxConflict);
@@ -330,7 +332,6 @@ Status TxnManager::Commit(TxnId id) {
   // Read-only transactions validate (their reads were of the committed
   // state) and commit without touching the log or the clocks.
   if (txn->writes.empty()) {
-    ++stats_.commits;
     m_commits_.Inc();
     GhostEvent(TraceEventType::kTxnCommit, id, 0, commit_seq_);
     return Status::Ok();
@@ -341,7 +342,6 @@ Status TxnManager::Commit(TxnId id) {
   SpecFs probe = mirror_;
   for (const OpCall& call : txn->writes) {
     if (Status st = RunOp(probe, call).status; !st.ok()) {
-      ++stats_.conflicts;
       m_conflicts_.Inc();
       GhostEvent(TraceEventType::kTxnAbort, id, /*conflict=*/1, 0);
       return st;
@@ -360,23 +360,22 @@ Status TxnManager::Commit(TxnId id) {
     const Status mirror_st = RunOp(mirror_, call).status;
     ATOMFS_CHECK(mirror_st.ok());
   }
-  BumpVersionsLocked(txn->footprint);
   GhostEvent(TraceEventType::kTxnCommit, id, txn->writes.size(), commit_seq_);
-  RecordUnitLocked(id, txn->writes);
-  ++stats_.commits;
   m_commits_.Inc();
   m_commit_ops_.Record(txn->writes.size());
   m_commit_latency_.Record(NowNs() - t0);
-  MaybeCheckpointLocked();
+  FinishUnitLocked(id, txn->writes, txn->footprint);
   return Status::Ok();
 }
 
 // --- direct (auto-committed) ops ---------------------------------------------
 
-Status TxnManager::Direct(const OpCall& call) {
+OpResult TxnManager::Direct(const OpCall& call) {
   std::lock_guard<std::mutex> lk(mu_);
   if (JournalFailedLocked()) {
-    return Status(Errc::kIo);
+    OpResult failed;
+    failed.status = Status(Errc::kIo);
+    return failed;
   }
   OpResult result = RunOp(*inner_, call);
   if (result.status.ok()) {
@@ -385,54 +384,41 @@ Status TxnManager::Direct(const OpCall& call) {
     // poisoned writer fail-stops every later mutation, confining the
     // one-op divergence between memory and log until restart.
     if (Status logged = LogCommittedLocked(/*id=*/0, {call}); !logged.ok()) {
-      return logged;
+      result.status = logged;
+      return result;
     }
     const Status mirror_st = RunOp(mirror_, call).status;
     ATOMFS_CHECK(mirror_st.ok() && "mirror diverged from inner fs");
-    BumpVersionsLocked(FootprintOf(call));
-    RecordUnitLocked(/*id=*/0, {call});
-    MaybeCheckpointLocked();
+    FinishUnitLocked(/*id=*/0, {call}, FootprintOf(call));
   }
-  return result.status;
+  return result;
 }
 
-Status TxnManager::Mkdir(const Path& path) { return Direct(OpCall::MkdirOf(path)); }
-Status TxnManager::Mknod(const Path& path) { return Direct(OpCall::MknodOf(path)); }
-Status TxnManager::Rmdir(const Path& path) { return Direct(OpCall::RmdirOf(path)); }
-Status TxnManager::Unlink(const Path& path) { return Direct(OpCall::UnlinkOf(path)); }
+Status TxnManager::Mkdir(const Path& path) { return Direct(OpCall::MkdirOf(path)).status; }
+Status TxnManager::Mknod(const Path& path) { return Direct(OpCall::MknodOf(path)).status; }
+Status TxnManager::Rmdir(const Path& path) { return Direct(OpCall::RmdirOf(path)).status; }
+Status TxnManager::Unlink(const Path& path) { return Direct(OpCall::UnlinkOf(path)).status; }
 
 Status TxnManager::Rename(const Path& src, const Path& dst) {
-  return Direct(OpCall::RenameOf(src, dst));
+  return Direct(OpCall::RenameOf(src, dst)).status;
 }
 
 Status TxnManager::Exchange(const Path& a, const Path& b) {
-  return Direct(OpCall::ExchangeOf(a, b));
+  return Direct(OpCall::ExchangeOf(a, b)).status;
 }
 
 Status TxnManager::Truncate(const Path& path, uint64_t size) {
-  return Direct(OpCall::TruncateOf(path, size));
+  return Direct(OpCall::TruncateOf(path, size)).status;
 }
 
 Result<size_t> TxnManager::Write(const Path& path, uint64_t offset,
                                  std::span<const std::byte> data) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (JournalFailedLocked()) {
-    return Errc::kIo;
+  const OpResult result =
+      Direct(OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end())));
+  if (!result.status.ok()) {
+    return result.status;
   }
-  auto written = inner_->Write(path, offset, data);
-  if (written.ok()) {
-    const OpCall call =
-        OpCall::WriteOf(path, offset, std::vector<std::byte>(data.begin(), data.end()));
-    if (Status logged = LogCommittedLocked(/*id=*/0, {call}); !logged.ok()) {
-      return logged;  // see Direct: not durable, journal fail-stopped
-    }
-    const Status mirror_st = RunOp(mirror_, call).status;
-    ATOMFS_CHECK(mirror_st.ok() && "mirror diverged from inner fs");
-    BumpVersionsLocked(FootprintOf(call));
-    RecordUnitLocked(/*id=*/0, {call});
-    MaybeCheckpointLocked();
-  }
-  return written;
+  return static_cast<size_t>(result.nbytes);
 }
 
 // Direct reads bypass the commit lock: they are linearized by the inner FS
@@ -449,11 +435,6 @@ Result<size_t> TxnManager::Read(const Path& path, uint64_t offset, std::span<std
 }
 
 // --- introspection -----------------------------------------------------------
-
-TxnStatsSnapshot TxnManager::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
 
 std::vector<CommitDescriptor> TxnManager::commit_log() const {
   std::lock_guard<std::mutex> lk(mu_);

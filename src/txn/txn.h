@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,13 +78,6 @@ struct CommitDescriptor {
   std::vector<OpCall> ops;
 };
 
-struct TxnStatsSnapshot {
-  uint64_t begins = 0;
-  uint64_t commits = 0;
-  uint64_t aborts = 0;     // explicit aborts (not conflicts)
-  uint64_t conflicts = 0;  // commits rejected by validation / dry-run
-};
-
 class TxnManager : public FileSystem, public TxnHost {
  public:
   struct Options {
@@ -103,12 +97,17 @@ class TxnManager : public FileSystem, public TxnHost {
     // Record every committed unit in commit_log() — required by the crash
     // harness and tests, unbounded memory on a long-running server.
     bool record_commit_log = false;
-    // First transaction id to hand out. When reopening an existing WAL this
-    // MUST be above every txid already in the log
-    // (WalRecoveryStats::max_txid + 1): a discarded transaction's begin
-    // record survives in the clean prefix, and reusing its id would read as
-    // a duplicate bracket on the next recovery. Values below 1 clamp to 1.
-    TxnId first_txid = 1;
+    // What RecoverJournal returned when reopening an existing journal; empty
+    // for a fresh one. The manager derives its floors from it:
+    //   * txids start above max_txid — a discarded transaction's begin
+    //     record survives in the clean prefix, and reusing its id would read
+    //     as a duplicate bracket on the next recovery;
+    //   * checkpoint ids start above generation, so they stay monotonic
+    //     across every generation on disk;
+    //   * committed_units seeds the cumulative count written into checkpoint
+    //     headers, so it survives compaction.
+    // A reopen also seeds `initial` from the recovered inner FS.
+    std::optional<JournalRecoveryStats> recovered;
     // fdatasync the WAL at every commit point: commits then survive power
     // loss, not just a process kill. Off by default — tests and the crash
     // harness model page-cache loss by cutting the log at byte offsets,
@@ -120,14 +119,6 @@ class TxnManager : public FileSystem, public TxnHost {
     // works explicitly.
     uint64_t checkpoint_bytes = 0;
     uint64_t checkpoint_units = 0;
-    // Id for the next checkpoint. When reopening a journal this MUST be
-    // above every generation on disk (JournalRecoveryStats::generation + 1)
-    // so checkpoint ids stay monotonic. Values below 1 clamp to 1.
-    uint64_t first_ckpt_id = 1;
-    // Committed units already folded into the recovered state
-    // (JournalRecoveryStats::committed_units) — carried into checkpoint
-    // headers so the cumulative count survives compaction.
-    uint64_t recovered_units = 0;
     // Forwarded to the WalWriter (fault injection in tests).
     WalWriterOptions wal;
   };
@@ -182,7 +173,6 @@ class TxnManager : public FileSystem, public TxnHost {
   using FileSystem::Write;
 
   // --- introspection -------------------------------------------------------
-  TxnStatsSnapshot stats() const;
   // Copy of the commit-order descriptor list (empty unless
   // Options::record_commit_log).
   std::vector<CommitDescriptor> commit_log() const;
@@ -218,9 +208,12 @@ class TxnManager : public FileSystem, public TxnHost {
   // commit point. kIo poisons the writer: the unit is NOT durable and the
   // caller must not apply it anywhere.
   Status LogCommittedLocked(TxnId id, const std::vector<OpCall>& ops);
-  void RecordUnitLocked(TxnId id, const std::vector<OpCall>& ops);
+  // Bookkeeping after a unit is logged and applied: bumps the footprint's
+  // versions, records the unit, and runs the checkpoint threshold check.
+  void FinishUnitLocked(TxnId id, const std::vector<OpCall>& ops, const Footprint& fp);
   void GhostEvent(TraceEventType type, TxnId id, uint64_t arg, uint64_t aux);
-  Status Direct(const OpCall& call);
+  // Auto-commits one op: runs it on the inner FS, logs it, then mirrors it.
+  OpResult Direct(const OpCall& call);
   Status CheckpointLocked();
   // Threshold check after each committed unit; best-effort (a failed
   // checkpoint write leaves the journal valid, just uncompacted).
@@ -249,7 +242,6 @@ class TxnManager : public FileSystem, public TxnHost {
   std::unordered_map<std::string, uint64_t> entry_ver_;
   std::unordered_map<std::string, uint64_t> subtree_ver_;
   std::vector<CommitDescriptor> commit_log_;
-  TxnStatsSnapshot stats_;
 
   Counter m_begins_, m_commits_, m_aborts_, m_conflicts_;
   Counter m_ckpt_count_, m_ckpt_bytes_, m_fsyncs_;

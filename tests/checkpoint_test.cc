@@ -279,21 +279,47 @@ TEST(CheckpointRecovery, InterruptedRotationIsCompleted) {
   ASSERT_TRUE(std::filesystem::exists(j.path()));
   {
     AtomFs inner2;
-    ASSERT_TRUE(RecoverJournal(j.path(), inner2).ok());
+    auto reopened = RecoverJournal(j.path(), inner2);
+    ASSERT_TRUE(reopened.ok());
     TxnManager::Options topt;
     topt.inner = &inner2;
     topt.wal_path = j.path();
-    topt.first_ckpt_id = stats->generation + 1;
-    topt.recovered_units = stats->committed_units;
+    topt.initial = inner2.SnapshotSpec();
+    topt.recovered = *reopened;
     TxnManager txn(topt);
     ASSERT_TRUE(txn.Mkdir("/after_repair").ok());
   }
   AtomFs again;
   auto stats2 = RecoverJournal(j.path(), again);
   ASSERT_TRUE(stats2.ok());
+  EXPECT_TRUE(stats2->used_checkpoint);
+  EXPECT_EQ(stats2->generation, 1u);
+  EXPECT_EQ(stats2->wal.applied_ops, 1u);
   EXPECT_EQ(stats2->committed_units, 4u);
   EXPECT_TRUE(again.Stat("/after_repair").ok());
   EXPECT_TRUE(again.Stat("/u0").ok());
+  // A checkpoint taken by a manager reopened from that state carries it
+  // whole under the next generation id.
+  {
+    AtomFs inner3;
+    auto reopened = RecoverJournal(j.path(), inner3);
+    ASSERT_TRUE(reopened.ok());
+    TxnManager::Options topt;
+    topt.inner = &inner3;
+    topt.wal_path = j.path();
+    topt.initial = inner3.SnapshotSpec();
+    topt.recovered = *reopened;
+    TxnManager txn(topt);
+    ASSERT_TRUE(txn.TakeCheckpoint().ok());
+  }
+  AtomFs third;
+  auto stats3 = RecoverJournal(j.path(), third);
+  ASSERT_TRUE(stats3.ok());
+  EXPECT_TRUE(stats3->used_checkpoint);
+  EXPECT_EQ(stats3->generation, 2u);
+  EXPECT_EQ(stats3->wal.applied_ops, 0u);
+  EXPECT_EQ(stats3->committed_units, 4u);
+  EXPECT_TRUE(StructurallyEqual(third.SnapshotSpec(), again.SnapshotSpec()));
 }
 
 TEST(CheckpointRecovery, CorruptNewestFallsBackToPrev) {
@@ -386,11 +412,13 @@ TEST(CheckpointRecovery, RepairTruncatesTornLiveTail) {
   // appends readable records, and a second recovery sees a clean log.
   {
     AtomFs inner2;
-    ASSERT_TRUE(RecoverJournal(j.path(), inner2).ok());
+    auto reopened = RecoverJournal(j.path(), inner2);
+    ASSERT_TRUE(reopened.ok());
     TxnManager::Options topt;
     topt.inner = &inner2;
     topt.wal_path = j.path();
-    topt.first_ckpt_id = stats->generation + 1;
+    topt.initial = inner2.SnapshotSpec();
+    topt.recovered = *reopened;
     TxnManager txn(topt);
     ASSERT_TRUE(txn.Mkdir("/post_tear").ok());
   }
@@ -416,9 +444,7 @@ TEST(CheckpointRecovery, ReopenCycleKeepsIdsMonotonic) {
     topt.wal_path = j.path();
     if (stats.ok()) {
       topt.initial = inner.SnapshotSpec();
-      topt.first_txid = stats->max_txid + 1;
-      topt.first_ckpt_id = stats->generation + 1;
-      topt.recovered_units = stats->committed_units;
+      topt.recovered = *stats;
     } else {
       ASSERT_EQ(stats.status().code(), Errc::kNoEnt);
     }

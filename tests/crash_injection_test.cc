@@ -125,11 +125,11 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
   }
 
   AtomFs recovered;
-  auto stats = RecoverWal(log.path(), recovered);
+  auto stats = RecoverJournal(log.path(), recovered, /*repair=*/true);
   ASSERT_TRUE(stats.ok());
-  ASSERT_LT(stats->committed, mix->commit_log.size() + 1);
-  ASSERT_TRUE(
-      StructurallyEqual(recovered.SnapshotSpec(), PrefixState(mix->commit_log, stats->committed)));
+  ASSERT_LT(stats->committed_units, mix->commit_log.size() + 1);
+  ASSERT_TRUE(StructurallyEqual(recovered.SnapshotSpec(),
+                                PrefixState(mix->commit_log, stats->committed_units)));
 
   // Second generation: journal a few more committed units into the same log.
   {
@@ -138,8 +138,9 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
     topt.wal_path = log.path();
     topt.initial = recovered.SnapshotSpec();
     // The cut can strand a begin record in the surviving prefix; ids must
-    // continue above it or the dangling bracket swallows the new commits.
-    topt.first_txid = stats->max_txid + 1;
+    // continue above it (recovered->max_txid) or the dangling bracket
+    // swallows the new commits.
+    topt.recovered = *stats;
     TxnManager txn(topt);
     ASSERT_TRUE(txn.Mkdir(*ParsePath("/gen2")).ok());
     const TxnId id = *txn.Begin();
@@ -147,9 +148,9 @@ TEST(CrashInjection, RecoverThenContinueJournalingStaysConsistent) {
     ASSERT_TRUE(txn.Commit(id).ok());
   }
   AtomFs final_state;
-  auto final_stats = RecoverWal(log.path(), final_state);
+  auto final_stats = RecoverJournal(log.path(), final_state);
   ASSERT_TRUE(final_stats.ok());
-  EXPECT_EQ(final_stats->committed, stats->committed + 2);
+  EXPECT_EQ(final_stats->committed_units, stats->committed_units + 2);
   EXPECT_TRUE(final_state.Stat("/gen2/f").ok());
   EXPECT_TRUE(StructurallyEqual(final_state.SnapshotSpec(), recovered.SnapshotSpec()));
 }

@@ -1,9 +1,9 @@
-// Tests for the operation-log durability layer (src/journal): logging,
-// recovery, and crash simulation — the log is cut at arbitrary byte offsets
-// and recovery must always yield a state equal to replaying some prefix of
-// the logged mutation history (prefix consistency).
-
-#include "src/journal/journal_fs.h"
+// Tests for the durability layer: TxnManager's auto-committed direct ops
+// journal every successful mutation as a txid-0 WAL record (src/journal/wal.h),
+// and RecoverJournal (src/journal/checkpoint.h) replays the log. Covers
+// logging, recovery, and crash simulation — the log is cut at arbitrary
+// byte offsets and recovery must always yield a state equal to replaying
+// some prefix of the logged mutation history (prefix consistency).
 
 #include <gtest/gtest.h>
 
@@ -13,19 +13,22 @@
 #include <thread>
 
 #include "src/core/atom_fs.h"
+#include "src/journal/checkpoint.h"
 #include "src/journal/wal.h"
-#include "src/util/rand.h"
+#include "src/txn/txn.h"
 
 namespace atomfs {
 namespace {
 
+// A journal path plus its checkpoint / rotation sidecars, all removed on
+// construction and destruction so RecoverJournal sees only this test's log.
 class TempLog {
  public:
   explicit TempLog(const std::string& name)
       : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
+    RemoveAll();
   }
-  ~TempLog() { std::remove(path_.c_str()); }
+  ~TempLog() { RemoveAll(); }
 
   const std::string& path() const { return path_; }
 
@@ -34,21 +37,50 @@ class TempLog {
     return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
 
-  void Truncate(size_t bytes) const {
-    std::string data = Contents();
-    data.resize(std::min(bytes, data.size()));
+  void Overwrite(const std::string& data) const {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out << data;
   }
 
+  void Truncate(size_t bytes) const {
+    std::string data = Contents();
+    data.resize(std::min(bytes, data.size()));
+    Overwrite(data);
+  }
+
  private:
+  void RemoveAll() const {
+    for (const std::string& p : {path_, PrevWalPath(path_), CheckpointPath(path_),
+                                 PrevCheckpointPath(path_), TmpCheckpointPath(path_)}) {
+      std::remove(p.c_str());
+    }
+  }
+
   std::string path_;
 };
 
-TEST(JournalFs, LogsMutationsNotReads) {
+// A journaling TxnManager over `inner`, whose direct ops are the journaled
+// file system under test.
+TxnManager::Options Journaled(FileSystem* inner, const std::string& wal_path) {
+  TxnManager::Options o;
+  o.inner = inner;
+  o.wal_path = wal_path;
+  return o;
+}
+
+// Ops replayed by RecoverJournal from the log at `path` onto `fs`.
+Result<uint64_t> Recover(const std::string& path, FileSystem& fs) {
+  auto stats = RecoverJournal(path, fs);
+  if (!stats.ok()) {
+    return stats.status();
+  }
+  return stats->wal.applied_ops;
+}
+
+TEST(Journal, DirectOpsLogMutationsNotReads) {
   TempLog log("atomfs_journal_basic.log");
   AtomFs inner;
-  JournalFs fs(&inner, log.path());
+  TxnManager fs(Journaled(&inner, log.path()));
   EXPECT_TRUE(fs.Mkdir("/d").ok());
   EXPECT_TRUE(WriteString(fs, "/d/f", "x").ok());
   EXPECT_TRUE(fs.Stat("/d/f").ok());
@@ -56,14 +88,19 @@ TEST(JournalFs, LogsMutationsNotReads) {
   EXPECT_EQ(fs.Unlink("/d/missing").code(), Errc::kNoEnt);  // failed op: unlogged
   // mkdir + (mknod + truncate-or-write from WriteString) logged; reads and
   // the failed unlink are not.
-  EXPECT_EQ(fs.logged_ops(), 3u);
+  const WalScan scan = ScanWalBytes(log.Contents());
+  ASSERT_EQ(scan.records.size(), 3u);
+  for (const WalRecord& rec : scan.records) {
+    EXPECT_EQ(rec.type, WalRecordType::kOp);
+    EXPECT_EQ(rec.txid, 0u);
+  }
 }
 
-TEST(JournalFs, RecoverRebuildsFullState) {
+TEST(Journal, RecoverRebuildsFullState) {
   TempLog log("atomfs_journal_recover.log");
   AtomFs inner;
   {
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(Journaled(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(WriteString(fs, "/a/f", "hello journal").ok());
     ASSERT_TRUE(fs.Rename("/a/f", "/a/g").ok());
@@ -71,34 +108,36 @@ TEST(JournalFs, RecoverRebuildsFullState) {
     ASSERT_TRUE(fs.Exchange("/a", "/b").ok());
   }
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->wal.applied_ops, 6u);
+  EXPECT_EQ(stats->committed_units, 6u);  // one unit per direct op
   EXPECT_TRUE(StructurallyEqual(inner.SnapshotSpec(), recovered.SnapshotSpec()));
   EXPECT_EQ(ReadString(recovered, "/b/g").value(), "hello journal");
 }
 
-TEST(JournalFs, RecoverMissingLog) {
+TEST(Journal, RecoverMissingLog) {
+  TempLog log("atomfs_journal_missing.log");
   AtomFs fs;
-  EXPECT_EQ(JournalFs::Recover("/tmp/definitely_not_here.log", fs).status().code(),
-            Errc::kNoEnt);
+  EXPECT_EQ(RecoverJournal(log.path(), fs).status().code(), Errc::kNoEnt);
 }
 
-TEST(JournalFs, TornTailLineIsDropped) {
+TEST(Journal, TornTailIsDropped) {
   TempLog log("atomfs_journal_torn.log");
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(Journaled(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(fs.Mkdir("/a/b").ok());
   }
-  // Simulate a crash mid-append: cut the last line in half.
+  // Simulate a crash mid-append: cut the last record short.
   const std::string full = log.Contents();
   log.Truncate(full.size() - 4);
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 1u);  // only the first mkdir survived
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->wal.applied_ops, 1u);  // only the first mkdir survived
+  EXPECT_TRUE(stats->wal.torn_tail);
   EXPECT_TRUE(recovered.Stat("/a").ok());
   EXPECT_EQ(recovered.Stat("/a/b").status().code(), Errc::kNoEnt);
 }
@@ -106,22 +145,24 @@ TEST(JournalFs, TornTailLineIsDropped) {
 // Prefix consistency under arbitrary crash points: cut the log at every
 // byte offset and check the recovered state equals replaying some prefix of
 // the mutation history.
-TEST(JournalFs, CrashAtEveryOffsetIsPrefixConsistent) {
+TEST(Journal, CrashAtEveryOffsetIsPrefixConsistent) {
   TempLog log("atomfs_journal_crashsweep.log");
   std::vector<OpCall> mutations;
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(Journaled(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/d").ok());
     mutations.push_back(OpCall::MkdirOf(*ParsePath("/d")));
     ASSERT_TRUE(fs.Mknod("/d/f").ok());
     mutations.push_back(OpCall::MknodOf(*ParsePath("/d/f")));
     std::vector<std::byte> payload{std::byte{'h'}, std::byte{'i'}};
-    ASSERT_TRUE(fs.Write("/d/f", 0, std::span<const std::byte>(payload)).ok());
+    auto written = fs.Write("/d/f", 0, std::span<const std::byte>(payload));
+    ASSERT_TRUE(written.ok());
+    EXPECT_EQ(*written, payload.size());
     mutations.push_back(OpCall::WriteOf(*ParsePath("/d/f"), 0, payload));
     ASSERT_TRUE(fs.Rename("/d/f", "/d/g").ok());
     mutations.push_back(OpCall::RenameOf(*ParsePath("/d/f"), *ParsePath("/d/g")));
-    ASSERT_TRUE(fs.Rmdir("/x").code() == Errc::kNoEnt || true);  // unlogged failure
+    EXPECT_EQ(fs.Rmdir("/x").code(), Errc::kNoEnt);  // unlogged failure
   }
   const std::string full = log.Contents();
 
@@ -137,12 +178,9 @@ TEST(JournalFs, CrashAtEveryOffsetIsPrefixConsistent) {
   }
 
   for (size_t cut = 0; cut <= full.size(); ++cut) {
-    {
-      std::ofstream out(log.path(), std::ios::binary | std::ios::trunc);
-      out << full.substr(0, cut);
-    }
+    log.Overwrite(full.substr(0, cut));
     AtomFs recovered;
-    auto count = JournalFs::Recover(log.path(), recovered);
+    auto count = Recover(log.path(), recovered);
     ASSERT_TRUE(count.ok()) << "cut at " << cut;
     ASSERT_LE(*count, mutations.size()) << "cut at " << cut;
     EXPECT_TRUE(StructurallyEqual(recovered.SnapshotSpec(), prefix_states[*count]))
@@ -150,11 +188,15 @@ TEST(JournalFs, CrashAtEveryOffsetIsPrefixConsistent) {
   }
 }
 
-TEST(JournalFs, ConcurrentMutationsAllRecovered) {
+// Concurrent direct ops serialize on TxnManager's commit lock; this is the
+// case the `sanitize` label runs under TSan.
+TEST(Journal, ConcurrentDirectOpsAllRecovered) {
   TempLog log("atomfs_journal_concurrent.log");
   AtomFs inner;
   {
-    JournalFs fs(&inner, log.path());
+    TxnManager::Options o = Journaled(&inner, log.path());
+    o.record_commit_log = true;
+    TxnManager fs(o);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&fs, t] {
@@ -166,32 +208,30 @@ TEST(JournalFs, ConcurrentMutationsAllRecovered) {
     for (auto& th : threads) {
       th.join();
     }
-    EXPECT_EQ(fs.logged_ops(), 200u);
+    EXPECT_EQ(fs.commit_log().size(), 200u);
   }
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
+  auto count = Recover(log.path(), recovered);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 200u);
   EXPECT_TRUE(StructurallyEqual(inner.SnapshotSpec(), recovered.SnapshotSpec()));
 }
 
-TEST(JournalFs, EmptyJournalRecoversEmptyState) {
+TEST(Journal, EmptyJournalRecoversEmptyState) {
   TempLog log("atomfs_journal_empty.log");
-  {
-    std::ofstream out(log.path(), std::ios::binary);  // zero-byte file
-  }
+  log.Overwrite("");  // zero-byte file
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
+  auto count = Recover(log.path(), recovered);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 0u);
   EXPECT_TRUE(StructurallyEqual(recovered.SnapshotSpec(), SpecFs{}));
 }
 
-TEST(JournalFs, TornRecordHeaderIsDropped) {
+TEST(Journal, TornRecordHeaderIsDropped) {
   TempLog log("atomfs_journal_torn_header.log");
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(Journaled(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(fs.Mkdir("/b").ok());
   }
@@ -200,18 +240,18 @@ TEST(JournalFs, TornRecordHeaderIsDropped) {
   // Crash mid-append of the second record's fixed header.
   log.Truncate(scan.records[0].end_offset + kWalHeaderBytes / 2);
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
+  auto count = Recover(log.path(), recovered);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 1u);
   EXPECT_TRUE(recovered.Stat("/a").ok());
   EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
 }
 
-TEST(JournalFs, TornRecordPayloadIsDropped) {
+TEST(Journal, TornRecordPayloadIsDropped) {
   TempLog log("atomfs_journal_torn_payload.log");
   {
     AtomFs inner;
-    JournalFs fs(&inner, log.path());
+    TxnManager fs(Journaled(&inner, log.path()));
     ASSERT_TRUE(fs.Mkdir("/a").ok());
     ASSERT_TRUE(fs.Mkdir("/b").ok());
   }
@@ -220,9 +260,29 @@ TEST(JournalFs, TornRecordPayloadIsDropped) {
   // Header intact, payload cut short: the length check must reject it.
   log.Truncate(scan.records[0].end_offset + kWalHeaderBytes + 2);
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
+  auto count = Recover(log.path(), recovered);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 1u);
+  EXPECT_TRUE(recovered.Stat("/a").ok());
+  EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
+}
+
+TEST(Journal, BitFlipIsRejected) {
+  TempLog log("atomfs_journal_bitflip.log");
+  {
+    AtomFs inner;
+    TxnManager fs(Journaled(&inner, log.path()));
+    ASSERT_TRUE(fs.Mkdir("/a").ok());
+    ASSERT_TRUE(fs.Mkdir("/b").ok());
+  }
+  std::string bytes = log.Contents();
+  bytes[bytes.size() - 1] = static_cast<char>(~bytes[bytes.size() - 1]);  // rot in /b's record
+  log.Overwrite(bytes);
+  AtomFs recovered;
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->wal.applied_ops, 1u);
+  EXPECT_TRUE(stats->wal.torn_tail);
   EXPECT_TRUE(recovered.Stat("/a").ok());
   EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
 }
@@ -285,22 +345,26 @@ TEST(Wal, AbortedTxnIsNeverVisible) {
   EXPECT_TRUE(fs.Stat("/after").ok());
 }
 
-TEST(JournalFs, ReopenAppendsToExistingLog) {
+TEST(Journal, ReopenAppendsToExistingLog) {
   TempLog log("atomfs_journal_reopen.log");
   AtomFs inner1;
   {
-    JournalFs fs(&inner1, log.path());
+    TxnManager fs(Journaled(&inner1, log.path()));
     ASSERT_TRUE(fs.Mkdir("/first").ok());
   }
   // "Remount": recover into a fresh FS, keep journaling to the same log.
   AtomFs inner2;
-  ASSERT_TRUE(JournalFs::Recover(log.path(), inner2).ok());
+  auto reopened = RecoverJournal(log.path(), inner2, /*repair=*/true);
+  ASSERT_TRUE(reopened.ok());
   {
-    JournalFs fs(&inner2, log.path());
+    TxnManager::Options o = Journaled(&inner2, log.path());
+    o.initial = inner2.SnapshotSpec();
+    o.recovered = *reopened;
+    TxnManager fs(o);
     ASSERT_TRUE(fs.Mkdir("/second").ok());
   }
   AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
+  auto count = Recover(log.path(), recovered);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 2u);
   EXPECT_TRUE(recovered.Stat("/first").ok());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "src/afs/op.h"
+#include "src/core/atom_fs.h"
+#include "src/retryfs/retry_fs.h"
 
 namespace atomfs {
 namespace {
@@ -241,6 +243,29 @@ TEST_F(SpecFsTest, StructurallyEqualIgnoresInums) {
   EXPECT_TRUE(StructurallyEqual(a, b));
   EXPECT_TRUE(b.Mknod("/d/g").ok());
   EXPECT_FALSE(StructurallyEqual(a, b));
+}
+
+// A file system's SnapshotSpec assembles the state through imap_mutable(),
+// which does not move the allocator; the snapshot must still give later
+// creations fresh inodes rather than link them to existing ones.
+template <typename Fs>
+void ExpectSnapshotCreatesFreshInodes() {
+  Fs fs;
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  ASSERT_TRUE(fs.Mknod("/d/g").ok());
+  SpecFs snap = fs.SnapshotSpec();
+  ASSERT_TRUE(snap.Mknod("/f").ok());
+  ASSERT_TRUE(snap.Write("/f", 0, Bytes("data")).ok());
+  EXPECT_NE(snap.Stat("/f")->ino, snap.Stat("/d")->ino);
+  EXPECT_NE(snap.Stat("/f")->ino, snap.Stat("/d/g")->ino);
+  EXPECT_EQ(snap.Stat("/d")->type, FileType::kDir);
+  EXPECT_EQ(snap.Stat("/d/g")->size, 0u);
+  EXPECT_TRUE(snap.WellFormed());
+}
+
+TEST_F(SpecFsTest, SnapshotSpecCreatesFreshInodes) {
+  ExpectSnapshotCreatesFreshInodes<AtomFs>();
+  ExpectSnapshotCreatesFreshInodes<RetryFs>();
 }
 
 TEST_F(SpecFsTest, HashIsStructural) {

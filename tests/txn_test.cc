@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "src/core/atom_fs.h"
+#include "src/journal/checkpoint.h"
 #include "src/journal/wal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -122,7 +123,10 @@ TEST(Txn, SnapshotIgnoresLaterDirectCommits) {
 
 TEST(Txn, WriteWriteConflictSecondCommitterLoses) {
   AtomFs fs;
-  TxnManager txn(BareOptions(&fs));
+  MetricsRegistry metrics;
+  TxnManager::Options opts = BareOptions(&fs);
+  opts.metrics = &metrics;
+  TxnManager txn(opts);
   ASSERT_TRUE(txn.Mkdir(P("/d")).ok());
   const TxnId a = *txn.Begin();
   const TxnId b = *txn.Begin();
@@ -130,9 +134,9 @@ TEST(Txn, WriteWriteConflictSecondCommitterLoses) {
   EXPECT_TRUE(txn.Apply(b, OpCall::MknodOf(P("/d/f"))).status.ok());
   ASSERT_TRUE(txn.Commit(a).ok());
   EXPECT_EQ(txn.Commit(b).code(), Errc::kTxConflict);
-  const TxnStatsSnapshot stats = txn.stats();
-  EXPECT_EQ(stats.commits, 1u);
-  EXPECT_EQ(stats.conflicts, 1u);
+  const MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue("txn.commits"), 1u);
+  EXPECT_EQ(snap.CounterValue("txn.conflicts"), 1u);
   EXPECT_TRUE(fs.Stat("/d/f").ok());
 }
 
@@ -218,10 +222,10 @@ TEST(Txn, WalRecoveryReplaysCommittedHistory) {
     // `open` crashes un-committed with the manager.
   }
   AtomFs recovered;
-  auto stats = RecoverWal(log.path(), recovered);
+  auto stats = RecoverJournal(log.path(), recovered);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->committed, 2u);  // the direct mkdir + the committed txn
-  EXPECT_EQ(stats->applied_ops, 3u);
+  EXPECT_EQ(stats->wal.committed, 2u);  // the direct mkdir + the committed txn
+  EXPECT_EQ(stats->wal.applied_ops, 3u);
   EXPECT_TRUE(StructurallyEqual(original.SnapshotSpec(), recovered.SnapshotSpec()));
   EXPECT_EQ(ReadString(recovered, "/d/f").value(), "durable");
   EXPECT_EQ(recovered.Stat("/d/never").status().code(), Errc::kNoEnt);
@@ -335,7 +339,7 @@ TEST(Txn, ConcurrentCommitStressStaysSerializable) {
   EXPECT_EQ(txn.open_txns(), 0u);
   // Durability: recovery from the stress WAL reproduces the final state.
   AtomFs recovered;
-  auto stats = RecoverWal(log.path(), recovered);
+  auto stats = RecoverJournal(log.path(), recovered);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(StructurallyEqual(fs.SnapshotSpec(), recovered.SnapshotSpec()));
 }

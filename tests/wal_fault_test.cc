@@ -14,7 +14,7 @@
 #include <string>
 
 #include "src/core/atom_fs.h"
-#include "src/journal/journal_fs.h"
+#include "src/journal/checkpoint.h"
 #include "src/journal/wal.h"
 #include "src/txn/crash.h"
 #include "src/txn/txn.h"
@@ -98,36 +98,6 @@ TEST(WalFault, TornShortWriteLeavesRecoverablePrefix) {
   EXPECT_EQ(recovered.Stat("/lost").status().code(), Errc::kNoEnt);
 }
 
-TEST(WalFault, JournalFsSurfacesEioAndFailStops) {
-  TempLog log("atomfs_fault_journalfs.wal");
-  AtomFs inner;
-  FaultPlan plan{/*healthy_writes=*/1, /*err=*/ENOSPC};
-  JournalFs::Options opts;
-  opts.wal = FaultAfter(&plan);
-  JournalFs fs(&inner, log.path(), opts);
-  ASSERT_TRUE(fs.Mkdir("/a").ok());
-  EXPECT_FALSE(fs.failed());
-  // The op ran on the inner FS but its record never reached the log: the
-  // caller must hear about the durability failure.
-  EXPECT_EQ(fs.Mkdir("/b").code(), Errc::kIo);
-  EXPECT_TRUE(fs.failed());
-  // Fail-stopped: nothing further mutates, not even ops that would succeed.
-  EXPECT_EQ(fs.Mkdir("/c").code(), Errc::kIo);
-  EXPECT_EQ(fs.Unlink("/a").code(), Errc::kIo);
-  std::vector<std::byte> data{std::byte{'x'}};
-  EXPECT_EQ(fs.Write("/a", 0, std::span<const std::byte>(data)).status().code(), Errc::kIo);
-  // Reads still pass through — the backend state is intact, only durability
-  // is gone.
-  EXPECT_TRUE(fs.Stat("/a").ok());
-  // Recovery of what did reach the disk yields exactly the acknowledged op.
-  AtomFs recovered;
-  auto count = JournalFs::Recover(log.path(), recovered);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 1u);
-  EXPECT_TRUE(recovered.Stat("/a").ok());
-  EXPECT_EQ(recovered.Stat("/b").status().code(), Errc::kNoEnt);
-}
-
 TEST(WalFault, FailedCommitAppliesNothingAndFailStops) {
   TempLog log("atomfs_fault_commit.wal");
   AtomFs inner;
@@ -180,31 +150,65 @@ TEST(WalFault, DirectOpLogFailureSurfacesEio) {
   topt.wal_path = log.path();
   topt.wal = FaultAfter(&plan);
   TxnManager txn(topt);
-  ASSERT_TRUE(txn.Mkdir("/ok").ok());
+  ASSERT_TRUE(txn.Mknod("/ok").ok());
+  EXPECT_FALSE(txn.journal_failed());
+  // The op ran on the inner FS but its record never reached the log: the
+  // caller must hear about the durability failure.
   EXPECT_EQ(txn.Mkdir("/doomed").code(), Errc::kIo);
   EXPECT_TRUE(txn.journal_failed());
-  // Recovery sees only the acknowledged unit.
+  // Fail-stopped: nothing further mutates, not even ops that would succeed,
+  // and the inner FS is left untouched.
+  const SpecFs before = inner.SnapshotSpec();
+  EXPECT_EQ(txn.Mkdir("/later").code(), Errc::kIo);
+  EXPECT_EQ(txn.Unlink("/ok").code(), Errc::kIo);
+  std::vector<std::byte> data{std::byte{'x'}};
+  EXPECT_EQ(txn.Write("/ok", 0, std::span<const std::byte>(data)).status().code(), Errc::kIo);
+  EXPECT_TRUE(StructurallyEqual(inner.SnapshotSpec(), before));
+  // Reads are still served — the backend state is intact, only durability
+  // is gone.
+  EXPECT_TRUE(txn.Stat("/ok").ok());
+  // Recovery of what did reach the disk yields exactly the acknowledged unit.
   AtomFs recovered;
-  const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
-  EXPECT_EQ(stats.committed, 1u);
+  auto stats = RecoverJournal(log.path(), recovered);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->wal.committed, 1u);
+  EXPECT_EQ(stats->wal.applied_ops, 1u);
   EXPECT_TRUE(recovered.Stat("/ok").ok());
   EXPECT_EQ(recovered.Stat("/doomed").status().code(), Errc::kNoEnt);
 }
 
-TEST(WalFault, FsyncCommitsCountsFsyncsAndPropagatesFailure) {
-  TempLog log("atomfs_fault_fsync.wal");
-  AtomFs inner;
-  TxnManager::Options topt;
-  topt.inner = &inner;
-  topt.wal_path = log.path();
-  topt.fsync_commits = true;
-  TxnManager txn(topt);
-  ASSERT_TRUE(txn.Mkdir("/durable").ok());
-  EXPECT_FALSE(txn.journal_failed());
-  AtomFs recovered;
-  const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
-  EXPECT_EQ(stats.committed, 1u);
-  EXPECT_TRUE(recovered.Stat("/durable").ok());
+// journal.fsync.count counts one fdatasync per committed unit with
+// fsync_commits on, and none with it off. Fsync failure is not injectable
+// (WalWriterOptions::write_fault covers write(2) only), so only the count
+// is checked here.
+TEST(WalFault, FsyncCommitsCountsFsyncs) {
+  for (const bool fsync : {true, false}) {
+    SCOPED_TRACE(fsync ? "fsync_commits on" : "fsync_commits off");
+    TempLog log("atomfs_fault_fsync.wal");
+    AtomFs inner;
+    MetricsRegistry metrics;
+    TxnManager::Options topt;
+    topt.inner = &inner;
+    topt.wal_path = log.path();
+    topt.metrics = &metrics;
+    topt.record_commit_log = true;
+    topt.fsync_commits = fsync;
+    TxnManager txn(topt);
+    ASSERT_TRUE(txn.Mkdir("/durable").ok());
+    ASSERT_TRUE(WriteString(txn, "/durable/f", "x").ok());
+    auto id = txn.Begin();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(txn.Apply(*id, OpCall::MkdirOf(*ParsePath("/t"))).status.ok());
+    ASSERT_TRUE(txn.Commit(*id).ok());
+    EXPECT_FALSE(txn.journal_failed());
+    const uint64_t units = txn.commit_log().size();
+    ASSERT_EQ(units, 4u);  // mkdir, mknod, write, the transaction
+    EXPECT_EQ(metrics.Snapshot().CounterValue("journal.fsync.count"), fsync ? units : 0u);
+    AtomFs recovered;
+    const WalRecoveryStats stats = RecoverWalBytes(log.Contents(), recovered);
+    EXPECT_EQ(stats.committed, units);
+    EXPECT_TRUE(recovered.Stat("/durable/f").ok());
+  }
 }
 
 }  // namespace

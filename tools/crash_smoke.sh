@@ -17,7 +17,11 @@
 #   3. The same kill -9 across a checkpoint boundary: a checkpointing daemon
 #      (--checkpoint-units plus a SIGHUP-forced checkpoint) is SIGKILLed after
 #      committing data both before and after the rotation; restart must
-#      recover from the checkpoint + WAL suffix and see all of it.
+#      recover from the checkpoint + WAL suffix and see all of it. The
+#      restarted daemon then commits more data, checkpoints over the wire and
+#      is SIGKILLed too: a third start must see every generation's data and a
+#      larger committed-unit count, which checks the reopened daemon's
+#      checkpoint-id floor, unit count and mirror seed.
 #
 # Usage: crash_smoke.sh /path/to/crash_injection_test /path/to/atomfsd /path/to/fsshell
 set -euo pipefail
@@ -28,112 +32,140 @@ FSSHELL=${3:?usage: crash_smoke.sh CRASH_INJECTION_TEST ATOMFSD FSSHELL}
 
 WORK=$(mktemp -d)
 DAEMON_PID=
+SOCK=
 trap 'kill -9 "$DAEMON_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
+# start_daemon GEN JOURNAL [ATOMFSD_ARGS...]: starts atomfsd on $WORK/GEN.sock
+# journaling to JOURNAL, logs to $WORK/GEN.log, sets DAEMON_PID and SOCK, and
+# waits for the socket to appear.
+start_daemon() {
+  local gen=$1 journal=$2
+  shift 2
+  SOCK="$WORK/$gen.sock"
+  "$ATOMFSD" --unix "$SOCK" --journal "$journal" --workers 2 "$@" > "$WORK/$gen.log" 2>&1 &
+  DAEMON_PID=$!
+  for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
+  [ -S "$SOCK" ] || { echo "FAIL: $gen daemon never created $SOCK"; cat "$WORK/$gen.log"; exit 1; }
+}
+
+crash_daemon() {
+  kill -9 "$DAEMON_PID"
+  wait "$DAEMON_PID" 2>/dev/null || true
+}
+
+# stop_daemon GEN: SIGTERM the daemon, which must exit 0.
+stop_daemon() {
+  kill -TERM "$DAEMON_PID"
+  wait "$DAEMON_PID" || { echo "FAIL: $1 daemon exited non-zero"; cat "$WORK/$1.log"; exit 1; }
+}
+
+# shell OUT COMMANDS: runs fsshell COMMANDS (printf format) on $SOCK into $WORK/OUT.
+shell() {
+  # shellcheck disable=SC2059
+  printf "$2" | "$FSSHELL" --connect "unix:$SOCK" > "$WORK/$1"
+}
+
+# expect FILE PATTERN MESSAGE [LOG...]: FILE (under $WORK) must match PATTERN;
+# otherwise prints MESSAGE, FILE and each LOG, and fails.
+expect() {
+  local file=$1 pattern=$2 msg=$3
+  shift 3
+  grep -q -- "$pattern" "$WORK/$file" && return 0
+  echo "FAIL: $msg"
+  for f in "$file" "$@"; do cat "$WORK/$f"; done
+  exit 1
+}
+
+# expect_ok FILE N MESSAGE [LOG...]: fsshell prints a bare "ok" per successful
+# op and "<cmd>: E..." on failure, so all N commands must have printed "ok".
+expect_ok() {
+  local file=$1 n=$2 msg=$3
+  shift 3
+  if grep -q ': E' "$WORK/$file" || [ "$(grep -cx 'ok' "$WORK/$file")" -ne "$n" ]; then
+    echo "FAIL: $msg"
+    for f in "$file" "$@"; do cat "$WORK/$f"; done
+    exit 1
+  fi
+}
+
+# Committed units in GEN's recovery banner ("recovered N op(s) in M ...").
+recovered_units() {
+  sed -n 's/.* in \([0-9]*\) committed unit.*/\1/p' "$WORK/$1.log"
+}
+
 echo "--- stage 1: bounded durability refinement sweep ---"
-ATOMFS_CRASH_TXNS=6 ATOMFS_CRASH_MAX_POINTS=64 \
+# A private TMPDIR: under a parallel ctest, crash_injection_test itself may be
+# running on the same fixed temp-file names.
+TMPDIR="$WORK" ATOMFS_CRASH_TXNS=6 ATOMFS_CRASH_MAX_POINTS=64 \
   "$CRASH_TEST" --gtest_brief=1 || {
     echo "FAIL: bounded crash-injection sweep found a divergence"; exit 1; }
 
 echo "--- stage 2: kill -9 a journaled atomfsd, recover, verify ---"
 JOURNAL="$WORK/atomfs.wal"
-SOCK1="$WORK/gen1.sock"
-
-"$ATOMFSD" --unix "$SOCK1" --journal "$JOURNAL" --workers 2 \
-  > "$WORK/gen1.log" 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK1" ] && break; sleep 0.1; done
-[ -S "$SOCK1" ] || { echo "FAIL: gen1 daemon never created $SOCK1"; cat "$WORK/gen1.log"; exit 1; }
+start_daemon gen1 "$JOURNAL"
 
 # One committed transaction: both ops must survive the crash together.
-printf 'txbegin\nmkdir /cfg\nwrite /cfg/a committed-v1\ntxcommit\ncat /cfg/a\n' \
-  | "$FSSHELL" --connect "unix:$SOCK1" > "$WORK/commit.out"
-grep -q 'committed-v1' "$WORK/commit.out" || {
-  echo "FAIL: committed transaction not readable pre-crash"; cat "$WORK/commit.out"; exit 1; }
+shell commit.out 'txbegin\nmkdir /cfg\nwrite /cfg/a committed-v1\ntxcommit\ncat /cfg/a\n'
+expect commit.out 'committed-v1' "committed transaction not readable pre-crash"
 
 # One transaction left open when its connection drops: nothing may survive.
-printf 'txbegin\nmkdir /lost\nwrite /lost/f never\n' \
-  | "$FSSHELL" --connect "unix:$SOCK1" > "$WORK/open.out"
+shell open.out 'txbegin\nmkdir /lost\nwrite /lost/f never\n'
 
-kill -9 "$DAEMON_PID"
-wait "$DAEMON_PID" 2>/dev/null || true
+crash_daemon
+start_daemon gen2 "$JOURNAL"
+expect gen2.log 'recovered' "restart printed no recovery banner"
 
-SOCK2="$WORK/gen2.sock"
-"$ATOMFSD" --unix "$SOCK2" --journal "$JOURNAL" --workers 2 \
-  > "$WORK/gen2.log" 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK2" ] && break; sleep 0.1; done
-[ -S "$SOCK2" ] || { echo "FAIL: gen2 daemon never created $SOCK2"; cat "$WORK/gen2.log"; exit 1; }
-
-grep -q 'recovered' "$WORK/gen2.log" || {
-  echo "FAIL: restart printed no recovery banner"; cat "$WORK/gen2.log"; exit 1; }
-
-printf 'cat /cfg/a\nstat /lost\nls /\n' \
-  | "$FSSHELL" --connect "unix:$SOCK2" > "$WORK/recovered.out"
-grep -q 'committed-v1' "$WORK/recovered.out" || {
-  echo "FAIL: committed transaction lost across kill -9"
-  cat "$WORK/recovered.out"; cat "$WORK/gen2.log"; exit 1; }
-grep -q 'stat: ENOENT' "$WORK/recovered.out" || {
-  echo "FAIL: uncommitted transaction leaked across kill -9"
-  cat "$WORK/recovered.out"; exit 1; }
-
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-  echo "FAIL: gen2 daemon exited non-zero"; cat "$WORK/gen2.log"; exit 1; }
+shell recovered.out 'cat /cfg/a\nstat /lost\nls /\n'
+expect recovered.out 'committed-v1' "committed transaction lost across kill -9" gen2.log
+expect recovered.out 'stat: ENOENT' "uncommitted transaction leaked across kill -9"
+stop_daemon gen2
 
 echo "--- stage 3: kill -9 across a forced checkpoint, recover, verify ---"
 CKJOURNAL="$WORK/ckpt.wal"
-SOCK3="$WORK/gen3.sock"
-"$ATOMFSD" --unix "$SOCK3" --journal "$CKJOURNAL" --checkpoint-units 64 --workers 2 \
-  > "$WORK/gen3.log" 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK3" ] && break; sleep 0.1; done
-[ -S "$SOCK3" ] || { echo "FAIL: gen3 daemon never created $SOCK3"; cat "$WORK/gen3.log"; exit 1; }
+start_daemon gen3 "$CKJOURNAL" --checkpoint-units 64
 
-printf 'mkdir /pre\nwrite /pre/f before-checkpoint\n' \
-  | "$FSSHELL" --connect "unix:$SOCK3" > /dev/null
+shell pre.out 'mkdir /pre\nwrite /pre/f before-checkpoint\n'
 kill -HUP "$DAEMON_PID"   # force the checkpoint + WAL rotation now
 for _ in $(seq 1 100); do
   grep -q 'checkpointed' "$WORK/gen3.log" && break; sleep 0.1
 done
-grep -q 'checkpointed' "$WORK/gen3.log" || {
-  echo "FAIL: SIGHUP produced no checkpoint"; cat "$WORK/gen3.log"; exit 1; }
+expect gen3.log 'checkpointed' "SIGHUP produced no checkpoint"
 [ -f "$CKJOURNAL.ckpt" ] || {
   echo "FAIL: no checkpoint file next to the journal"; ls "$WORK"; exit 1; }
 
 # Post-checkpoint suffix — committed, then checkpointed again through the
 # wire op this time — then die without warning.
-printf 'txbegin\nmkdir /post\nwrite /post/f after-checkpoint\ntxcommit\ncheckpoint\n' \
-  | "$FSSHELL" --connect "unix:$SOCK3" > "$WORK/wire_ckpt.out"
-# fsshell prints a bare "ok" per successful op and "<cmd>: E..." on failure:
-# all four commands must have succeeded, the checkpoint included.
-if grep -q ': E' "$WORK/wire_ckpt.out" || \
-   [ "$(grep -cx 'ok' "$WORK/wire_ckpt.out")" -ne 4 ]; then
-  echo "FAIL: wire CHECKPOINT op did not succeed"; cat "$WORK/wire_ckpt.out"; exit 1
-fi
-kill -9 "$DAEMON_PID"
-wait "$DAEMON_PID" 2>/dev/null || true
+shell wire_ckpt.out 'txbegin\nmkdir /post\nwrite /post/f after-checkpoint\ntxcommit\ncheckpoint\n'
+expect_ok wire_ckpt.out 4 "wire CHECKPOINT op did not succeed"
+crash_daemon
+start_daemon gen4 "$CKJOURNAL"
 
-SOCK4="$WORK/gen4.sock"
-"$ATOMFSD" --unix "$SOCK4" --journal "$CKJOURNAL" --workers 2 \
-  > "$WORK/gen4.log" 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 100); do [ -S "$SOCK4" ] && break; sleep 0.1; done
-[ -S "$SOCK4" ] || { echo "FAIL: gen4 daemon never created $SOCK4"; cat "$WORK/gen4.log"; exit 1; }
+expect gen4.log 'checkpoint base' "restart did not recover from the checkpoint"
+shell ckpt.out 'cat /pre/f\ncat /post/f\n'
+expect ckpt.out 'before-checkpoint' "pre-checkpoint data lost across kill -9" gen4.log
+expect ckpt.out 'after-checkpoint' "post-checkpoint suffix lost across kill -9" gen4.log
 
-grep -q 'checkpoint base' "$WORK/gen4.log" || {
-  echo "FAIL: restart did not recover from the checkpoint"; cat "$WORK/gen4.log"; exit 1; }
-printf 'cat /pre/f\ncat /post/f\n' \
-  | "$FSSHELL" --connect "unix:$SOCK4" > "$WORK/ckpt.out"
-grep -q 'before-checkpoint' "$WORK/ckpt.out" || {
-  echo "FAIL: pre-checkpoint data lost across kill -9"
-  cat "$WORK/ckpt.out"; cat "$WORK/gen4.log"; exit 1; }
-grep -q 'after-checkpoint' "$WORK/ckpt.out" || {
-  echo "FAIL: post-checkpoint suffix lost across kill -9"
-  cat "$WORK/ckpt.out"; cat "$WORK/gen4.log"; exit 1; }
+# The restarted daemon commits more and checkpoints over the wire, then dies.
+# Its checkpoint must reuse no generation id, keep the recovered state (the
+# mirror it materializes was seeded from recovery) and carry the recovered
+# unit count forward.
+shell gen4_ckpt.out 'mkdir /gen4\nwrite /gen4/f restarted-v4\ncheckpoint\n'
+expect_ok gen4_ckpt.out 3 "restarted daemon could not commit + checkpoint" gen4.log
+crash_daemon
+start_daemon gen5 "$CKJOURNAL"
 
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-  echo "FAIL: gen4 daemon exited non-zero"; cat "$WORK/gen4.log"; exit 1; }
+expect gen5.log 'checkpoint base' "gen5 did not recover from gen4's checkpoint"
+shell gen5.out 'cat /pre/f\ncat /post/f\ncat /gen4/f\n'
+for want in before-checkpoint after-checkpoint restarted-v4; do
+  expect gen5.out "$want" "'$want' lost across the restarted daemon's checkpoint + kill -9" \
+    gen5.log
+done
+GEN4_UNITS=$(recovered_units gen4)
+GEN5_UNITS=$(recovered_units gen5)
+[ -n "$GEN4_UNITS" ] && [ -n "$GEN5_UNITS" ] && [ "$GEN5_UNITS" -gt "$GEN4_UNITS" ] || {
+  echo "FAIL: committed-unit count did not carry across the reopen" \
+    "(gen4 ${GEN4_UNITS:-?}, gen5 ${GEN5_UNITS:-?})"
+  cat "$WORK/gen4.log" "$WORK/gen5.log"; exit 1; }
+stop_daemon gen5
 
-echo "PASS: crash smoke (bounded sweep clean; committed txn survived kill -9, open txn invisible; checkpoint boundary survived kill -9)"
+echo "PASS: crash smoke (bounded sweep clean; committed txn survived kill -9, open txn invisible; checkpoint boundary survived kill -9, twice across a restart)"
