@@ -178,9 +178,11 @@ struct AtomFsServer::Conn {
   uint64_t id = 0;
   int fd = -1;
   Shard* shard = nullptr;
-  Vfs vfs;  // per-connection descriptor table; touched by one worker at a time
+  // Per-connection descriptor table. Touched only by the connection's one
+  // executor: the loop for an all-short ready queue, else one worker.
+  Vfs vfs;
   // Open transaction id (0 = none). Same ownership as `vfs`: requests for
-  // one connection execute on one worker at a time, and teardown reads it
+  // one connection execute on one thread at a time, and teardown reads it
   // only after the worker handoff (exec_scheduled) has quiesced.
   uint64_t active_txn = 0;
 
@@ -233,6 +235,7 @@ AtomFsServer::AtomFsServer(FileSystem* fs, ServerOptions options)
   loop_wakeups_ = metrics_->GetCounter("server.loop.wakeups");
   backpressure_stalls_ = metrics_->GetCounter("server.backpressure_stalls");
   idle_timeouts_ = metrics_->GetCounter("server.idle_timeouts");
+  inline_ops_ = metrics_->GetCounter("server.loop.inline_ops");
   active_conns_ = metrics_->GetGauge("server.conns.active");
   work_queue_depth_ = metrics_->GetGauge("server.work_queue.depth");
   exec_batch_size_ = metrics_->GetHistogram("server.worker.batch_size");
@@ -364,8 +367,8 @@ void AtomFsServer::Stop() {
   shard_threads_.clear();
   {
     // Only now is the queue quiescent: shard threads were the last producers
-    // (MaybeSchedule), and they are joined. The lock still pairs with
-    // MaybeSchedule's stopping_ check for any straggler between the flag
+    // (RunOrSchedule), and they are joined. The lock still pairs with
+    // RunOrSchedule's stopping_ check for any straggler between the flag
     // flip and the joins above.
     std::lock_guard<std::mutex> lock(work_mu_);
     work_queue_depth_.Sub(static_cast<int64_t>(work_queue_.size()));
@@ -509,7 +512,7 @@ void AtomFsServer::RegisterIntake(Shard& shard) {
     auto conn = std::make_unique<Conn>(fs_);
     Conn* c = conn.get();
     // Relaxed: pure unique-id allocation; the Conn is published to workers
-    // via work_mu_ (MaybeSchedule), never through this counter.
+    // via work_mu_ (RunOrSchedule), never through this counter.
     c->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     c->fd = fd;
     c->shard = &shard;
@@ -541,17 +544,9 @@ void AtomFsServer::HandleCompletions(Shard& shard) {
       continue;  // closed while the worker ran
     }
     Conn* c = it->second.get();
-    if (!FlushOutbox(shard, c)) {
-      continue;
+    if (FlushOutbox(shard, c)) {
+      Advance(shard, c);
     }
-    // Replies just left the outbox, so the window may have opened: decode
-    // frames that were parked in the read buffer and resume reading.
-    if (!c->poisoned) {
-      DecodeBuffered(c);
-    }
-    MaybeSchedule(c);
-    UpdateReadInterest(shard, c);
-    MaybeClose(shard, c);
   }
 }
 
@@ -590,8 +585,23 @@ bool AtomFsServer::OnReadable(Shard& shard, Conn* c) {
     }
   }
   c->last_activity_ms = NowMs();
-  DecodeBuffered(c);
-  MaybeSchedule(c);
+  return Advance(shard, c);
+}
+
+bool AtomFsServer::Advance(Shard& shard, Conn* c) {
+  // Replies the loop just ran reach the outbox, so the window may have
+  // opened: decode frames parked in the read buffer and go round again.
+  for (;;) {
+    if (!c->poisoned) {
+      DecodeBuffered(c);
+    }
+    if (!RunOrSchedule(c)) {
+      break;
+    }
+    if (!FlushOutbox(shard, c)) {
+      return false;
+    }
+  }
   UpdateReadInterest(shard, c);
   return MaybeClose(shard, c);
 }
@@ -795,24 +805,67 @@ void AtomFsServer::SweepIdle(Shard& shard) {
   }
 }
 
-void AtomFsServer::MaybeSchedule(Conn* c) {
-  bool enqueue = false;
+bool AtomFsServer::RunsOnLoop(const WireRequest& req) const {
+  // A mutation the host fdatasyncs would park the loop on the disk.
+  const bool syncs = opts_.txn != nullptr && opts_.txn->SyncsCommits();
+  switch (req.op) {
+    case WireOp::kPing:
+    case WireOp::kHello:
+    case WireOp::kStat:
+    case WireOp::kReadDir:
+    case WireOp::kRead:
+    case WireOp::kClose:
+    case WireOp::kFdRead:
+    case WireOp::kFdPread:
+    case WireOp::kFstat:
+    case WireOp::kFdReadDir:
+    case WireOp::kSeek:
+      return true;
+    case WireOp::kOpen:
+      return !syncs || (req.flags & (OpenFlags::kCreate | OpenFlags::kTrunc)) == 0;
+    case WireOp::kMkdir:
+    case WireOp::kMknod:
+    case WireOp::kRmdir:
+    case WireOp::kUnlink:
+    case WireOp::kRename:
+    case WireOp::kExchange:
+    case WireOp::kTruncate:
+    case WireOp::kWrite:
+    case WireOp::kFdWrite:
+    case WireOp::kFdPwrite:
+    case WireOp::kFtruncate:
+      return !syncs;
+    default:
+      // MSGBATCH, the transaction brackets, CHECKPOINT and the admin dumps:
+      // each may hold a lock or copy state for long.
+      return false;
+  }
+}
+
+bool AtomFsServer::RunOrSchedule(Conn* c) {
+  bool on_loop = false;
   {
     std::lock_guard<std::mutex> lk(c->mu);
-    if (!c->ready.empty() && !c->exec_scheduled && !c->dead) {
-      c->exec_scheduled = true;
-      enqueue = true;
+    if (c->ready.empty() || c->exec_scheduled || c->dead) {
+      return false;  // nothing to run, or the worker holding c drains it
     }
+    c->exec_scheduled = true;
+    on_loop = std::all_of(c->ready.begin(), c->ready.end(), [this](const ConnReadyItem& item) {
+      return !item.poison && RunsOnLoop(item.req);
+    });
   }
-  if (enqueue) {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    if (stopping_) {
-      return;  // Stop() tears every connection down; nothing left to execute
-    }
-    work_queue_.push_back(c);
-    work_queue_depth_.Add(1);
-    work_cv_.notify_one();
+  if (on_loop) {
+    DrainReady(c, /*on_loop=*/true);
+    return true;
   }
+  std::lock_guard<std::mutex> lock(work_mu_);
+  if (stopping_) {
+    return false;  // Stop() tears every connection down; nothing left to execute
+  }
+  work_queue_.push_back(c);
+  work_queue_depth_.Add(1);
+  work_cv_.notify_one();
+  return false;
 }
 
 bool AtomFsServer::MaybeClose(Shard& shard, Conn* c) {
@@ -872,17 +925,31 @@ void AtomFsServer::ExecuteConn(Conn* c) {
   // destroy the connection and `c` must not be touched again.
   Shard* home = c->shard;
   const uint64_t id = c->id;
+  DrainReady(c, /*on_loop=*/false);
+  {
+    std::lock_guard<std::mutex> lock(home->mu);
+    home->completions.push_back(id);
+  }
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = write(home->event_fd, &one, sizeof one);
+}
+
+void AtomFsServer::DrainReady(Conn* c, bool on_loop) {
   for (;;) {
     std::deque<ConnReadyItem> todo;
     {
       std::lock_guard<std::mutex> lk(c->mu);
       if (c->ready.empty()) {
         c->exec_scheduled = false;
-        break;
+        return;
       }
       todo.swap(c->ready);
     }
-    exec_batch_size_.Record(todo.size());
+    if (on_loop) {
+      inline_ops_.Inc(todo.size());
+    } else {
+      exec_batch_size_.Record(todo.size());
+    }
     for (ConnReadyItem& item : todo) {
       std::vector<std::vector<std::byte>> frames;
       bool close_after = false;
@@ -928,12 +995,6 @@ void AtomFsServer::ExecuteConn(Conn* c) {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(home->mu);
-    home->completions.push_back(id);
-  }
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = write(home->event_fd, &one, sizeof one);
 }
 
 // --- dispatch ----------------------------------------------------------------
@@ -1141,7 +1202,7 @@ std::vector<std::byte> AtomFsServer::DispatchOne(Conn& conn, const WireRequest& 
       }
       return StatusResponse(opts_.txn->TxCheckpoint());
     case WireOp::kMsgBatch:
-      // Batches are unpacked in ExecuteConn and nesting is rejected at
+      // Batches are unpacked in DrainReady and nesting is rejected at
       // parse; reaching here means a logic error upstream.
       return StatusResponse(Status(Errc::kProto));
   }

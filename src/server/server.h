@@ -3,13 +3,19 @@
 // Threading model (protocol v2, pipelined): one acceptor thread per listener
 // (Unix-domain and/or TCP on 127.0.0.1) round-robins accepted sockets across
 // N event-loop shards. Each shard runs a non-blocking epoll loop that owns a
-// set of connections: it reads whatever the kernel has buffered, decodes
+// set of connections: it reads whatever the kernel has buffered and decodes
 // every complete frame in the read buffer (up to the connection's negotiated
-// `max_inflight` window), and hands the decoded requests to a bounded worker
-// pool running against the shared FileSystem. Workers drain one connection's
-// ready queue at a time, so replies are produced in request order and each
-// connection's Vfs is touched by at most one thread; the loop then flushes
-// all accumulated reply frames with a single writev(2) per readiness cycle.
+// `max_inflight` window) into the connection's ready queue. One thread at a
+// time executes a connection's ready queue, in order, so replies come back
+// in request order and each connection's Vfs is touched by one thread at a
+// time. When every queued request is short (RunsOnLoop: a path op,
+// descriptor op, PING or HELLO, and no mutation when the TxnHost syncs its
+// commits) and no worker holds the connection, the loop runs the queue
+// itself and flushes the replies in the same readiness cycle. Anything else
+// (MSGBATCH, transaction brackets, CHECKPOINT, the admin dumps) goes to a
+// bounded worker pool running against the shared FileSystem; the worker
+// posts a completion and wakes the shard, which flushes the accumulated
+// reply frames with one sendmsg(2). So a long request never blocks a loop.
 //
 // Backpressure is structural, not advisory: a frame is admitted only when
 // its request units fit the remaining `max_inflight` window whole, so
@@ -35,8 +41,9 @@
 // conversation continues.
 //
 // Stop() is graceful: listeners close first (no new connections), workers
-// are drained and joined, then each shard wakes, tears down its connections
-// and exits; every thread is joined before Stop() returns.
+// are joined, then each shard wakes and exits, and Stop() tears down the
+// connections and aborts their open transactions; every thread is joined
+// before Stop() returns.
 
 #ifndef ATOMFS_SRC_SERVER_SERVER_H_
 #define ATOMFS_SRC_SERVER_SERVER_H_
@@ -71,7 +78,8 @@ struct ServerOptions {
   uint16_t tcp_port = 0;
   // Event-loop shards; accepted connections are round-robined across them.
   int shards = 2;
-  // Bounded execution pool shared by all shards.
+  // Bounded pool shared by all shards: it runs batches and long requests
+  // (short ones run on the loops; see the threading model above).
   int workers = 4;
   uint32_t max_frame_bytes = kWireMaxFrameBytes;
   // Largest inflight window HELLO will grant, and the window a connection
@@ -87,8 +95,9 @@ struct ServerOptions {
   size_t max_outbox_bytes = 8u << 20;
   // Registry for the server's own metrics (server.connections,
   // server.protocol_errors, server.op.<name>.latency_ns, plus the loop
-  // counters server.loop.wakeups / server.backpressure_stalls /
-  // server.idle_timeouts and the queue-depth gauges) and the source of the
+  // counters server.loop.wakeups / server.loop.inline_ops /
+  // server.backpressure_stalls / server.idle_timeouts and the gauges; the
+  // rows are in docs/OBSERVABILITY.md) and the source of the
   // WireOp::kMetrics response. Share one registry between the server and a
   // TracingObserver on the backend to serve a unified snapshot; when null
   // the server owns a private registry, so kMetrics always works. A caller-
@@ -151,18 +160,33 @@ class AtomFsServer {
   void RegisterIntake(Shard& shard);
   void HandleCompletions(Shard& shard);
   bool OnReadable(Shard& shard, Conn* c);
+  // The loop's one step after new bytes or new replies: decode what the
+  // window admits, run or schedule it, flush what ran, repeat while that
+  // opens the window; then re-arm reading and close if due.
+  bool Advance(Shard& shard, Conn* c);
   void DecodeBuffered(Conn* c);
   void PoisonConn(Conn* c);
   bool FlushOutbox(Shard& shard, Conn* c);
   void UpdateReadInterest(Shard& shard, Conn* c);
   void ApplyMask(Shard& shard, Conn* c, uint32_t mask);
   void SweepIdle(Shard& shard);
-  void MaybeSchedule(Conn* c);
+  // Whether a request is short enough to run on the loop thread.
+  bool RunsOnLoop(const WireRequest& req) const;
+  // Claims c's ready queue for one executor: runs an all-short queue here
+  // on the loop, hands anything else to the pool. Does nothing when the
+  // queue is empty or a worker already holds c (that worker drains it).
+  // Returns true when the queue ran here, so its replies are in the outbox.
+  bool RunOrSchedule(Conn* c);
   bool MaybeClose(Shard& shard, Conn* c);
   void DestroyConn(Shard& shard, Conn* c);
 
-  // Worker-side: drain one connection's ready queue, in order.
+  // Worker-side: DrainReady, then post the completion to c's shard.
   void ExecuteConn(Conn* c);
+  // Runs c's ready queue in order until it is empty, then releases the
+  // claim (exec_scheduled). Once the claim drops the loop may destroy c.
+  // Counts server.loop.inline_ops on the loop, server.worker.batch_size on
+  // the pool.
+  void DrainReady(Conn* c, bool on_loop);
   // Handles one parsed non-batch request; returns the response payload.
   // Needs the connection for its Vfs and for HELLO's window update.
   std::vector<std::byte> DispatchOne(Conn& conn, const WireRequest& req);
@@ -207,6 +231,7 @@ class AtomFsServer {
   Counter loop_wakeups_;
   Counter backpressure_stalls_;
   Counter idle_timeouts_;
+  Counter inline_ops_;
   Gauge active_conns_;
   Gauge work_queue_depth_;
   Histogram exec_batch_size_;

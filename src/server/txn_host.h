@@ -8,10 +8,14 @@
 // plugged in by the embedder (tools/atomfsd.cpp) when transactions are
 // enabled. A server with no TxnHost answers the transaction opcodes EINVAL.
 //
-// Threading: all four calls may arrive concurrently from different worker
-// threads (for different transactions); implementations synchronize
-// internally. The server guarantees that calls for one transaction id are
-// serialized (one connection's requests execute on one worker at a time).
+// Threading: the calls may arrive concurrently from the server's event-loop
+// and worker threads (for different transactions); implementations
+// synchronize internally. The server guarantees that calls for one
+// transaction id are serialized (one connection's requests run on one
+// thread at a time). TxApply runs on a loop thread, as do the direct
+// mutations of a host that is also the served FileSystem, unless
+// SyncsCommits() is true; TxBegin, TxCommit, TxAbort and TxCheckpoint run
+// on a worker (TxAbort also when a connection drops or the server stops).
 
 #ifndef ATOMFS_SRC_SERVER_TXN_HOST_H_
 #define ATOMFS_SRC_SERVER_TXN_HOST_H_
@@ -44,6 +48,9 @@ class TxnHost {
   // atomfsd SIGHUP). Non-pure so hosts without a journal keep compiling;
   // the default answers kInval, a journaled host kIo on a failed write.
   virtual Status TxCheckpoint() { return Status(Errc::kInval); }
+  // True when every commit point fdatasyncs: the server then runs every
+  // mutation on its worker pool, so no event loop waits on the disk.
+  virtual bool SyncsCommits() const { return false; }
 };
 
 }  // namespace atomfs

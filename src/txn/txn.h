@@ -139,6 +139,7 @@ class TxnManager : public FileSystem, public TxnHost {
   Status TxAbort(uint64_t txid) override { return Abort(txid); }
   OpResult TxApply(uint64_t txid, const OpCall& call) override { return Apply(txid, call); }
   Status TxCheckpoint() override { return TakeCheckpoint(); }
+  bool SyncsCommits() const override { return fsync_commits_; }
 
   // Checkpoints + compacts the journal now: writes the committed mirror as
   // a checkpoint file (write-temp, fdatasync, atomic rename) and rotates

@@ -736,6 +736,46 @@ TEST(DocsDriftTest, ObservabilityDocCoversTheShardRouterMetrics) {
       << "crossshard help-reason flag undocumented";
 }
 
+// Every server.* metric the serving layer registers must have a row in
+// docs/OBSERVABILITY.md; the per-opcode latency histograms share one row.
+TEST(DocsDriftTest, ObservabilityDocCoversEveryServerMetric) {
+  const std::string path = std::string(ATOMFS_SOURCE_DIR) + "/docs/OBSERVABILITY.md";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string doc = buf.str();
+
+  AtomFs fs;
+  MetricsRegistry registry;
+  ServerOptions options;
+  options.metrics = &registry;
+  AtomFsServer server(&fs, options);  // registration happens at construction
+  const MetricsSnapshot snap = registry.Snapshot();
+  std::vector<std::string> names;
+  for (const auto& c : snap.counters) {
+    names.push_back(c.name);
+  }
+  for (const auto& g : snap.gauges) {
+    names.push_back(g.name);
+  }
+  for (const auto& h : snap.histograms) {
+    names.push_back(h.name);
+  }
+  size_t server_metrics = 0;
+  for (std::string name : names) {
+    if (name.rfind("server.", 0) != 0) {
+      continue;
+    }
+    ++server_metrics;
+    if (name.rfind("server.op.", 0) == 0) {
+      name = "server.op.<wireop>.latency_ns";
+    }
+    EXPECT_NE(doc.find("| `" + name + "` |"), std::string::npos) << "missing metric row: " << name;
+  }
+  EXPECT_GE(server_metrics, 10u);
+}
+
 // docs/CONCURRENCY.md is the normative locking/validation protocol. The names
 // it uses for the rcu-walk verification surface — the invariant, the ghost
 // events, the four counters, the retry default, the accounting identity, and

@@ -8,16 +8,20 @@
 #include "src/server/server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/client/client.h"
@@ -745,20 +749,34 @@ TEST_F(ServerTest, StopWhileTrafficInFlightShutsDownCleanly) {
   std::atomic<bool> go{true};
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] {
+    // PINGs run on the loop; the 2-op MSGBATCHes of the odd threads go
+    // through the worker pool, so Stop() races both paths.
+    const bool batched = i % 2 == 1;
+    threads.emplace_back([&, batched] {
       auto client = AtomFsClient::ConnectUnix(sock_path_);
       if (!client.ok()) {
         return;
       }
+      WireRequest ping;
+      ping.op = WireOp::kPing;
       while (go.load(std::memory_order_relaxed)) {
-        if (!(*client)->Ping().ok()) {
-          return;  // server went away mid-conversation: expected
+        if (!batched) {
+          if (!(*client)->Ping().ok()) {
+            return;  // server went away mid-conversation: expected
+          }
+          continue;
+        }
+        ClientSession& s = (*client)->session();
+        auto first = s.Submit(ping);
+        auto second = s.Submit(ping);
+        if (!s.Flush().ok() || !first.Wait().ok() || !second.Wait().ok()) {
+          return;
         }
       }
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  server_->Stop();  // races MaybeSchedule against the work-queue teardown
+  server_->Stop();  // races the inline path and the pool handoff against teardown
   go.store(false, std::memory_order_relaxed);
   for (auto& t : threads) {
     t.join();
@@ -1003,6 +1021,244 @@ TEST_F(TxnServerTest, BatchedTransactionCommitsInOneFlush) {
   EXPECT_TRUE(f_commit.Wait().ok());
   EXPECT_TRUE(c->Stat("/batched/f").ok());
   server_->Stop();
+}
+
+// --- short requests on the loop, long ones on the pool -----------------------
+
+// A TxnHost whose TxCommit, once Arm()ed, parks until Release(), and whose
+// SyncsCommits() answer is chosen by the test.
+class LatchTxnHost : public TxnHost {
+ public:
+  explicit LatchTxnHost(bool syncs = false) : syncs_(syncs) {}
+
+  Result<uint64_t> TxBegin() override { return next_id_.fetch_add(1); }
+  Status TxCommit(uint64_t) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    committing_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !armed_; });
+    return Status::Ok();
+  }
+  Status TxAbort(uint64_t) override { return Status::Ok(); }
+  OpResult TxApply(uint64_t, const OpCall&) override { return OpResult{}; }
+  bool SyncsCommits() const override { return syncs_; }
+
+  // Makes the next TxCommit park until Release().
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  bool WaitUntilCommitting() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10), [this] { return committing_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  const bool syncs_;
+  std::atomic<uint64_t> next_id_{1};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool committing_ = false;
+};
+
+class LoopSplitTest : public ServerTest {
+ protected:
+  void Start(FileSystem* fs, TxnHost* txn, int shards = 2, int workers = 4) {
+    sock_path_ = UniqueSocketPath("split");
+    ServerOptions options;
+    options.unix_path = sock_path_;
+    options.metrics = &registry_;
+    options.txn = txn;
+    options.shards = shards;
+    options.workers = workers;
+    server_ = std::make_unique<AtomFsServer>(fs, options);
+    ASSERT_TRUE(server_->Start().ok());
+  }
+
+  // Requests run on the loop, and worker passes, so far.
+  std::pair<uint64_t, uint64_t> Counts() const {
+    const MetricsSnapshot snap = registry_.Snapshot();
+    const HistogramSnapshot* passes = snap.FindHistogram("server.worker.batch_size");
+    return {snap.CounterValue("server.loop.inline_ops"), passes != nullptr ? passes->count : 0};
+  }
+
+  // Runs `call` and checks whether it ran on the loop or on the pool.
+  template <typename Call>
+  void ExpectPath(const char* what, bool on_loop, Call call) {
+    const auto before = Counts();
+    call();
+    const auto after = Counts();
+    if (on_loop) {
+      EXPECT_EQ(after.first, before.first + 1) << what << " did not run on the loop";
+      EXPECT_EQ(after.second, before.second) << what << " took a worker pass";
+    } else {
+      EXPECT_EQ(after.first, before.first) << what << " ran on the loop";
+      EXPECT_EQ(after.second, before.second + 1) << what << " took no worker pass";
+    }
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) {
+      server_->Stop();  // registry_ must outlive every server thread
+    }
+  }
+
+  MetricsRegistry registry_;
+};
+
+TEST_F(LoopSplitTest, DepthOneShortOpsRunOnTheLoopAndLongOnesOnThePool) {
+  AtomFs fs;
+  TxnManager::Options topt;
+  topt.inner = &fs;
+  TxnManager txn(topt);
+  Start(&txn, &txn);
+  auto c = Client();
+
+  ExpectPath("mknod", true, [&] { EXPECT_TRUE(c->Mknod("/f").ok()); });
+  ExpectPath("write", true, [&] { EXPECT_EQ(c->Write("/f", 0, Bytes("hello")).value(), 5u); });
+  ExpectPath("stat", true, [&] { EXPECT_EQ(c->Stat("/f").value().size, 5u); });
+  ExpectPath("read", true, [&] {
+    std::vector<std::byte> buf(5);
+    EXPECT_EQ(c->Read("/f", 0, buf).value(), 5u);
+  });
+  Fd fd = -1;
+  ExpectPath("open", true, [&] {
+    auto opened = c->Open("/f", OpenFlags::kRead);
+    ASSERT_TRUE(opened.ok());
+    fd = *opened;
+  });
+  ExpectPath("pread", true, [&] {
+    std::vector<std::byte> buf(3);
+    EXPECT_EQ(c->Pread(fd, 1, buf).value(), 3u);
+  });
+  ExpectPath("close", true, [&] { EXPECT_TRUE(c->Close(fd).ok()); });
+
+  ExpectPath("msgbatch", false, [&] {
+    WireRequest mk;
+    mk.op = WireOp::kMkdir;
+    mk.path_a = "/batched";
+    WireRequest stat;
+    stat.op = WireOp::kStat;
+    stat.path_a = "/batched";
+    ClientSession& s = c->session();
+    auto f_mk = s.Submit(mk);
+    auto f_stat = s.Submit(stat);
+    ASSERT_TRUE(s.Flush().ok());
+    EXPECT_TRUE(f_mk.Wait().ok());
+    EXPECT_TRUE(f_stat.Wait().ok());
+  });
+  ExpectPath("txbegin", false, [&] { EXPECT_TRUE(c->TxBegin().ok()); });
+  ExpectPath("in-transaction mknod", true, [&] { EXPECT_TRUE(c->Mknod("/tx").ok()); });
+  ExpectPath("txcommit", false, [&] { EXPECT_TRUE(c->TxCommit().ok()); });
+  ExpectPath("checkpoint", false, [&] { EXPECT_EQ(c->Checkpoint().code(), Errc::kInval); });
+  ExpectPath("metrics", false, [&] { EXPECT_TRUE(c->FetchMetrics().ok()); });
+  EXPECT_TRUE(c->Stat("/tx").ok());
+}
+
+TEST_F(LoopSplitTest, HelloBatchAndStatInOneSendReplyInOrder) {
+  AtomFs fs;
+  Start(&fs, nullptr);
+  const int raw = RawConnect(sock_path_);
+
+  // HELLO runs on the loop, the batch on the pool, and the STAT behind it
+  // must wait for the batch: one connection's requests never overtake.
+  WireRequest batch;
+  batch.op = WireOp::kMsgBatch;
+  WireRequest sub;
+  sub.op = WireOp::kMkdir;
+  sub.path_a = "/d";
+  batch.batch.push_back(sub);
+  sub.op = WireOp::kMknod;
+  sub.path_a = "/d/f";
+  batch.batch.push_back(sub);
+  WireRequest stat;
+  stat.op = WireOp::kStat;
+  stat.path_a = "/d/f";
+  std::vector<std::byte> burst = FramedRequest(HelloRequest(kWireProtoVersion, 4));
+  Append(burst, FramedRequest(batch));
+  Append(burst, FramedRequest(stat));
+  ASSERT_EQ(send(raw, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  auto hello = RecvFrame(raw);
+  ASSERT_TRUE(hello.ok());
+  WireReader r(*hello);
+  uint8_t status = 0;
+  ASSERT_TRUE(r.U8(&status));
+  ASSERT_EQ(ErrcOfWireStatus(status), Errc::kOk);
+  WireHello granted;
+  ASSERT_TRUE(ParseHello(r, &granted));
+  EXPECT_EQ(granted.max_inflight, 4u);
+  EXPECT_EQ(RecvStatus(raw), Errc::kOk);  // mkdir /d
+  EXPECT_EQ(RecvStatus(raw), Errc::kOk);  // mknod /d/f
+  EXPECT_EQ(RecvStatus(raw), Errc::kOk);  // stat sees the batch's file
+  close(raw);
+}
+
+TEST_F(LoopSplitTest, HeldCommitDoesNotBlockTheLoop) {
+  AtomFs fs;
+  LatchTxnHost host;
+  host.Arm();
+  Start(&fs, &host, /*shards=*/1, /*workers=*/2);
+
+  // Connection A opens a transaction and sends TXCOMMIT, which parks on the
+  // latch inside a worker.
+  const int a = RawConnect(sock_path_);
+  WireRequest begin;
+  begin.op = WireOp::kTxBegin;
+  ASSERT_TRUE(SendFrame(a, EncodeRequest(begin)).ok());
+  ASSERT_EQ(RecvStatus(a), Errc::kOk);
+  WireRequest commit;
+  commit.op = WireOp::kTxCommit;
+  ASSERT_TRUE(SendFrame(a, EncodeRequest(commit)).ok());
+  ASSERT_TRUE(host.WaitUntilCommitting());
+
+  // The one loop still answers connection B.
+  const int b = RawConnect(sock_path_);
+  WireRequest ping;
+  ping.op = WireOp::kPing;
+  ASSERT_TRUE(SendFrame(b, EncodeRequest(ping)).ok());
+  pollfd pfd{b, POLLIN, 0};
+  const bool answered = poll(&pfd, 1, 10000) == 1;
+  host.Release();  // before any blocking read, so a blocked loop cannot hang the test
+  EXPECT_TRUE(answered) << "PING unanswered while a commit is held";
+  EXPECT_EQ(RecvStatus(b), Errc::kOk);
+  EXPECT_EQ(RecvStatus(a), Errc::kOk);
+  close(a);
+  close(b);
+}
+
+TEST_F(LoopSplitTest, MutationsRunOnThePoolWhenTheHostSyncsCommits) {
+  AtomFs fs;
+  {
+    TxnManager::Options topt;
+    topt.inner = &fs;
+    topt.fsync_commits = true;
+    EXPECT_TRUE(TxnManager(topt).SyncsCommits());
+  }
+  LatchTxnHost host(/*syncs=*/true);
+  Start(&fs, &host);
+  auto c = Client();
+
+  ExpectPath("mkdir", false, [&] { EXPECT_TRUE(c->Mkdir("/d").ok()); });
+  ExpectPath("mknod", false, [&] { EXPECT_TRUE(c->Mknod("/d/f").ok()); });
+  ExpectPath("write", false, [&] { EXPECT_EQ(c->Write("/d/f", 0, Bytes("x")).value(), 1u); });
+  Fd fd = -1;
+  ExpectPath("open O_CREAT", false, [&] {
+    auto opened = c->Open("/d/g", OpenFlags::kWrite | OpenFlags::kCreate);
+    ASSERT_TRUE(opened.ok());
+    fd = *opened;
+  });
+  ExpectPath("pwrite", false, [&] { EXPECT_EQ(c->Pwrite(fd, 0, Bytes("y")).value(), 1u); });
+  ExpectPath("close", true, [&] { EXPECT_TRUE(c->Close(fd).ok()); });
+  ExpectPath("stat", true, [&] { EXPECT_TRUE(c->Stat("/d/g").ok()); });
+  ExpectPath("readdir", true, [&] { EXPECT_EQ(c->ReadDir("/d").value().size(), 2u); });
 }
 
 }  // namespace

@@ -11,7 +11,11 @@
 //                                  shard gets its own CRL-H monitor and the
 //                                  namespace-level checks gate the exit code
 //           --shards N             event-loop shards (default 2)
-//           --workers N            request execution threads (default 8)
+//           --workers N            worker pool for batches and long requests
+//                                  (MSGBATCH, transaction brackets,
+//                                  CHECKPOINT, admin dumps; every mutation
+//                                  with --journal-fsync). Short requests run
+//                                  on the event loops (default 8)
 //           --max-inflight N       largest per-connection pipeline window a
 //                                  HELLO may negotiate (default 128)
 //           --idle-timeout MS      reap idle/half-open connections after MS
