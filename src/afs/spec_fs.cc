@@ -33,15 +33,30 @@ uint64_t FnvMixBytes(uint64_t h, const void* p, size_t n) {
 
 }  // namespace
 
+InodeRef::~InodeRef() {
+  if (rep_ != nullptr && rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete rep_;
+  }
+}
+
+SpecInode& InodeRef::Mutable() {
+  // A count of 1 cannot rise behind our back: only this handle could be
+  // copied, and its SpecFs is single-threaded.
+  if (!unique()) {
+    *this = InodeRef(rep_->node);
+  }
+  return rep_->node;
+}
+
 SpecFs::SpecFs() {
   SpecInode root;
   root.type = FileType::kDir;
-  imap_.emplace(kRootInum, std::move(root));
+  Put(kRootInum, std::move(root));
 }
 
 const SpecInode* SpecFs::Find(Inum ino) const {
   auto it = imap_.find(ino);
-  return it == imap_.end() ? nullptr : &it->second;
+  return it == imap_.end() ? nullptr : it->second.get();
 }
 
 SpecInode* SpecFs::FindMutable(Inum ino) {
@@ -50,17 +65,33 @@ SpecInode* SpecFs::FindMutable(Inum ino) {
     return nullptr;
   }
   LogPreImage(ino);
-  return &it->second;
+  return &it->second.Mutable();
 }
 
 void SpecFs::StartPreImageLog() {
   log_.clear();
   logging_ = true;
+  log_next_inum_ = next_inum_;
 }
 
 std::vector<PreImage> SpecFs::TakePreImageLog() {
   logging_ = false;
   return std::move(log_);
+}
+
+void SpecFs::RestorePreImages() {
+  next_inum_ = log_next_inum_;
+  RestorePreImages(TakePreImageLog());
+}
+
+void SpecFs::RestorePreImages(const std::vector<PreImage>& images) {
+  for (auto it = images.rbegin(); it != images.rend(); ++it) {
+    if (it->before) {
+      Put(it->ino, it->before);
+    } else {
+      Erase(it->ino);
+    }
+  }
 }
 
 void SpecFs::LogPreImage(Inum ino) {
@@ -73,8 +104,17 @@ void SpecFs::LogPreImage(Inum ino) {
       return;
     }
   }
-  const SpecInode* node = Find(ino);
-  log_.push_back(PreImage{ino, node == nullptr ? std::nullopt : std::optional(*node)});
+  auto it = imap_.find(ino);
+  if (it == imap_.end()) {
+    log_.push_back(PreImage{ino, InodeRef()});
+  } else if (it->second.unique()) {
+    // The write will go in place, so the log takes a copy. Writing a clone
+    // instead would cost the same copy but retire the old inode's memory
+    // on whichever thread next replaces it.
+    log_.push_back(PreImage{ino, InodeRef(*it->second)});
+  } else {
+    log_.push_back(PreImage{ino, it->second});  // the write clones
+  }
 }
 
 void SpecFs::Create(Inum parent, const std::string& name, FileType type) {
@@ -87,13 +127,13 @@ void SpecFs::Create(Inum parent, const std::string& name, FileType type) {
   LogPreImage(ino);
   SpecInode node;
   node.type = type;
-  imap_.emplace(ino, std::move(node));
+  Put(ino, std::move(node));
   FindMutable(parent)->links.emplace(name, ino);
 }
 
 void SpecFs::Free(Inum ino) {
   LogPreImage(ino);
-  imap_.erase(ino);
+  Erase(ino);
 }
 
 Result<Inum> SpecFs::Resolve(const Path& path) const {
@@ -176,7 +216,8 @@ Status SpecFs::Rmdir(const Path& path) {
     return Status(Errc::kNotEmpty);
   }
   Free(it->second);
-  FindMutable(*parent)->links.erase(it);
+  // By name: FindMutable may clone the node `it` points into.
+  FindMutable(*parent)->links.erase(path.Base());
   return Status::Ok();
 }
 
@@ -197,7 +238,7 @@ Status SpecFs::Unlink(const Path& path) {
     return Status(Errc::kIsDir);
   }
   Free(it->second);
-  FindMutable(*parent)->links.erase(it);
+  FindMutable(*parent)->links.erase(path.Base());
   return Status::Ok();
 }
 

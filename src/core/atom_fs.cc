@@ -88,6 +88,9 @@ void AtomFs::LockInode(Inode* node, LockPathRole role) {
     return;
   }
   node->lock->Lock();
+  if (opts_.enable_rcu_walk) {
+    node->held.store(true, std::memory_order_release);
+  }
   if (opts_.observer != nullptr) {
     opts_.observer->OnLockAcquired(CurrentTid(), node->ino, role);
   }
@@ -103,6 +106,9 @@ void AtomFs::UnlockInode(Inode* node) {
   // park them *after* the lock is actually free, which is what the paper's
   // interleavings require.
   const Inum ino = node->ino;
+  if (opts_.enable_rcu_walk) {
+    node->held.store(false, std::memory_order_release);
+  }
   node->lock->Unlock();
   if (opts_.observer != nullptr) {
     opts_.observer->OnLockReleased(CurrentTid(), ino);
@@ -295,8 +301,16 @@ Inode* AtomFs::OptimisticAttempt(const Path& path) {
     }
     return cur;
   }
-  for (const Rec& r : chain) {
-    if (r.node->version.load(std::memory_order_acquire) != r.version) {
+  for (size_t i = 0; i < chain.size(); ++i) {
+    const Rec& r = chain[i];
+    // A held interior node may belong to a lock-coupled op that a rename has
+    // already helped: its abstract effect is in place while the tree below
+    // the node still shows the old state. The root is exempt (a thread
+    // holding only the root has a LockPath no rename breaks), and the
+    // target is ours.
+    const bool interior = i > 0 && i + 1 < chain.size();
+    if (r.node->version.load(std::memory_order_acquire) != r.version ||
+        (interior && r.node->held.load(std::memory_order_acquire))) {
       Inode* const locked = cur;
       Inode* const result = fail();
       UnlockInode(locked);
@@ -367,8 +381,11 @@ Status AtomFs::Insert(const Path& path, FileType type) {
   opts_.executor->Work(opts_.costs.dir_insert_ns);
   VersionBumpOpen(dir);
   ATOMFS_CHECK(dir->dir.Insert(path.Base(), std::move(node)));
-  VersionBumpClose(dir);
+  // The LP comes before the close: the new inode is unlocked, so an
+  // optimistic reader may resolve it and pass validation as soon as the
+  // version is even again, and the monitor must have the creation by then.
   ObserveLp(created);
+  VersionBumpClose(dir);
   UnlockInode(dir);
   return finish(Status::Ok());
 }
@@ -580,6 +597,12 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
   ATOMFS_CHECK(moving != nullptr);
   opts_.executor->Work(opts_.costs.dir_insert_ns);
   ATOMFS_CHECK(ddir->dir.Insert(dst.Base(), std::move(moving)));
+  // The rename LP: the CRL-H helper (linothers) runs inside this event, then
+  // the rename's own abstract operation executes. It comes before the
+  // versions close: the moved subtree's inodes below snode are unlocked, so
+  // an optimistic reader may resolve a new path through it as soon as the
+  // versions are stable again, and the monitor must have the move by then.
+  ObserveLp();
   VersionTick(snode);  // the moved node's identity-path changed (lock held)
   if (dnode != nullptr) {
     VersionTick(dnode);  // the displaced node left the namespace (lock held)
@@ -588,10 +611,6 @@ Status AtomFs::Rename(const Path& src, const Path& dst) {
     VersionBumpClose(ddir);
   }
   VersionBumpClose(sdir);
-
-  // The rename LP: the CRL-H helper (linothers) runs inside this event, then
-  // the rename's own abstract operation executes.
-  ObserveLp();
   UnlockAll(held);
   if (displaced != nullptr) {
     DisposeInode(std::move(displaced));
@@ -713,15 +732,15 @@ Status AtomFs::Exchange(const Path& a, const Path& b) {
   ATOMFS_CHECK(owned_a != nullptr && owned_b != nullptr);
   ATOMFS_CHECK(adir->dir.Insert(a.Base(), std::move(owned_b)));
   ATOMFS_CHECK(bdir->dir.Insert(b.Base(), std::move(owned_a)));
+  // The exchange LP: like rename, the helper runs here first, and before
+  // the versions close.
+  ObserveLp();
   VersionTick(anode);  // both swapped nodes sit on new identity-paths
   VersionTick(bnode);
   if (bdir != adir) {
     VersionBumpClose(bdir);
   }
   VersionBumpClose(adir);
-
-  // The exchange LP: like rename, the helper runs here first.
-  ObserveLp();
   UnlockAll(held);
   return finish(Status::Ok());
 }
@@ -898,7 +917,7 @@ void SnapshotInto(const Inode* node, SpecFs& out) {
       spec.links.emplace(name, child->ino);
     });
   }
-  out.imap_mutable()[node->ino] = std::move(spec);
+  out.Put(node->ino, std::move(spec));
   if (node->type == FileType::kDir) {
     node->dir.ForEach([&out](const std::string&, const Inode* child) {
       SnapshotInto(child, out);
@@ -909,8 +928,7 @@ void SnapshotInto(const Inode* node, SpecFs& out) {
 }  // namespace
 
 SpecFs AtomFs::SnapshotSpec() const {
-  SpecFs out;
-  out.imap_mutable().clear();
+  SpecFs out;  // SnapshotInto replaces its root
   SnapshotInto(root_.get(), out);
   // Placing inodes does not move the allocator; a caller that keeps mutating
   // the snapshot (TxnManager's mirror) must get fresh inums.

@@ -2,7 +2,7 @@
 // per-inode, fine-grained locking); `ino` and `type` are immutable after
 // creation and may be read without the lock, everything else requires it —
 // except `version`, the seqlock-style counter the optimistic walk reads
-// lock-free (docs/CONCURRENCY.md §3).
+// lock-free (docs/CONCURRENCY.md §3), and `held`.
 
 #ifndef ATOMFS_SRC_CORE_INODE_H_
 #define ATOMFS_SRC_CORE_INODE_H_
@@ -35,6 +35,11 @@ struct Inode {
   // changed value invalidates the attempt. Structural no-op for file data
   // writes (those are covered by the target lock the reader also takes).
   std::atomic<uint64_t> version{0};
+
+  // True while some thread holds `lock` (maintained in rcu mode only: set
+  // after Lock, cleared before Unlock). The optimistic walk fails on a held
+  // interior node (docs/CONCURRENCY.md §5).
+  std::atomic<bool> held{false};
 
   DirTable dir;    // valid when type == kDir
   FileData data;   // valid when type == kFile

@@ -1,5 +1,7 @@
 #include "src/crlh/effects.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 
 namespace atomfs {
@@ -15,7 +17,7 @@ OpResult ApplyWithEffects(SpecFs& spec, const OpCall& call, Inum forced_ino,
     // Drop inodes a mutator touched without changing.
     std::erase_if(touched, [&](const InodeEffect& e) {
       const SpecInode* now = spec.Find(e.ino);
-      return e.before.has_value() ? now != nullptr && *now == *e.before : now == nullptr;
+      return e.before ? now != nullptr && *now == *e.before : now == nullptr;
     });
     *effects = std::move(touched);
   }
@@ -23,40 +25,36 @@ OpResult ApplyWithEffects(SpecFs& spec, const OpCall& call, Inum forced_ino,
 }
 
 void RollbackEffects(SpecFs& spec, const std::vector<InodeEffect>& effects) {
-  for (auto it = effects.rbegin(); it != effects.rend(); ++it) {
-    if (it->before.has_value()) {
-      spec.imap_mutable()[it->ino] = *it->before;
-    } else {
-      spec.imap_mutable().erase(it->ino);
-    }
-  }
+  spec.RestorePreImages(effects);
 }
 
 void RemapInum(SpecFs& spec, Inum from, Inum to, Inum parent) {
-  auto& imap = spec.imap_mutable();
-  if (auto node = imap.extract(from)) {
-    ATOMFS_CHECK(imap.find(to) == imap.end());
-    node.key() = to;
-    imap.insert(std::move(node));
+  if (spec.Find(from) != nullptr) {
+    ATOMFS_CHECK(spec.Find(to) == nullptr);
+    spec.Put(to, spec.imap().at(from));
+    spec.Erase(from);
   }
-  auto relink = [&](SpecInode& dir) {
-    bool hit = false;
-    for (auto& [name, child] : dir.links) {
+  // Only a directory that links `from` is written, so no other shared
+  // inode is cloned.
+  auto relink = [&](Inum dir) {
+    const SpecInode* node = spec.Find(dir);
+    if (node == nullptr || std::none_of(node->links.begin(), node->links.end(),
+                                        [&](const auto& link) { return link.second == from; })) {
+      return false;
+    }
+    for (auto& [name, child] : spec.FindMutable(dir)->links) {
       if (child == from) {
         child = to;
-        hit = true;
       }
     }
-    return hit;
+    return true;
   };
-  if (parent != kInvalidInum) {
-    auto it = imap.find(parent);
-    if (it != imap.end() && relink(it->second)) {
-      return;
-    }
+  if (parent != kInvalidInum && relink(parent)) {
+    return;
   }
-  for (auto& [ino, node] : imap) {
-    relink(node);
+  // Writing a value leaves the map's iterators valid.
+  for (const auto& [ino, node] : spec.imap()) {
+    relink(ino);
   }
 }
 
@@ -65,10 +63,15 @@ void RemapInum(std::vector<InodeEffect>& effects, Inum from, Inum to) {
     if (e.ino == from) {
       e.ino = to;
     }
-    if (!e.before.has_value()) {
+    if (!e.before) {
       continue;
     }
-    for (auto& [name, child] : e.before->links) {
+    const auto& links = e.before->links;
+    if (std::none_of(links.begin(), links.end(),
+                     [&](const auto& link) { return link.second == from; })) {
+      continue;
+    }
+    for (auto& [name, child] : e.before.Mutable().links) {
       if (child == from) {
         child = to;
       }

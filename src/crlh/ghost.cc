@@ -89,7 +89,9 @@ std::optional<std::vector<Tid>> ComputeHelpOrder(Tid renamer,
   // Candidates: pending threads other than the renamer. Optimistic readers
   // are excluded: they hold no coupled LockPath for the helper to preserve —
   // their correctness comes from version-chain validation, which a
-  // concurrent rename simply causes to fail (retry/fallback).
+  // concurrent rename simply causes to fail (retry/fallback). One that
+  // already resolved its path gets its result from the monitor instead
+  // (CrlhMonitor::ResolveOptReadersLocked).
   auto is_candidate = [&](const std::pair<const Tid, Descriptor>& kv) {
     return kv.first != renamer && kv.second.state == AopState::kPending &&
            !kv.second.optimistic;

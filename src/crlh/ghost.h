@@ -101,6 +101,14 @@ struct Descriptor {
   // the Opt-validation invariant requires at the LP.
   bool optimistic = false;
   bool opt_validated = false;
+  // A reader that holds its target has resolved its path, but reports
+  // validation and its LP only later. A helper that moves an inode on that
+  // path in between computes the read's abstract result at its own LP
+  // (`opt_helper` names it); the LP adopts it if validation passed, and a
+  // failed validation drops it.
+  std::optional<OpResult> opt_result;
+  Tid opt_helper = 0;
+  uint64_t opt_seq = 0;
 
   // Sharded namespace (docs/SHARDING.md): which shard's inum space the
   // LockPaths above live in, and — when nonzero — the cross-shard migration

@@ -8,7 +8,7 @@ namespace atomfs {
 void GoodAfsIndex::Rebuild(const SpecFs& spec) {
   parent_.clear();
   for (const auto& [ino, node] : spec.imap()) {
-    for (const auto& [name, child] : node.links) {
+    for (const auto& [name, child] : node->links) {
       parent_[child] = ino;
     }
   }
@@ -37,12 +37,12 @@ bool GoodAfsIndex::Advance(const SpecFs& post, const std::vector<InodeEffect>& d
   for (const InodeEffect& e : diff) {
     Degree& self = degrees[e.ino];
     self.touched = true;
-    self.existed = e.before.has_value();
+    self.existed = static_cast<bool>(e.before);
     const SpecInode* now = post.Find(e.ino);
     if (now != nullptr && now->type == FileType::kFile && !now->links.empty()) {
       return false;  // files carry no links
     }
-    const auto& was = e.before.has_value() ? e.before->links : kNoLinks;
+    const auto& was = e.before ? e.before->links : kNoLinks;
     const auto& is = now != nullptr ? now->links : kNoLinks;
     auto remove = [&](Inum child) {
       removed.push_back(Link{e.ino, child});

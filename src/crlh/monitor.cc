@@ -260,6 +260,7 @@ void CrlhMonitor::OnOptWalkStart(Tid tid) {
   Descriptor& d = it->second;
   d.optimistic = true;
   d.opt_validated = false;
+  d.opt_result.reset();
   // A fresh attempt abandons whatever target a previous attempt recorded
   // (its lock was released on the failed validation).
   d.path.inos.clear();
@@ -285,6 +286,9 @@ void CrlhMonitor::OnOptWalkValidate(Tid tid, OptValidation outcome, uint32_t dep
   // kSkipped leaves opt_validated false so the Opt-validation invariant
   // fires if the op goes on to linearize anyway.
   d.opt_validated = outcome == OptValidation::kPass;
+  if (!d.opt_validated) {
+    d.opt_result.reset();  // the walk it was computed for does not count
+  }
 }
 
 void CrlhMonitor::OnOptWalkFallback(Tid tid) {
@@ -299,6 +303,7 @@ void CrlhMonitor::OnOptWalkFallback(Tid tid) {
   Descriptor& d = it->second;
   d.optimistic = false;
   d.opt_validated = false;
+  d.opt_result.reset();
   // The lock-coupled walk that follows rebuilds the LockPath from the root;
   // the optimistic attempts' recordings must not prefix it.
   d.path.inos.clear();
@@ -415,6 +420,46 @@ void CrlhMonitor::HelpThreadLocked(Tid helper, Tid target, HelpReason reason) {
   }
 }
 
+void CrlhMonitor::ResolveOptReadersLocked(Tid helper, const Descriptor& hd) {
+  // A reader that locked its target walked its path before this helper's
+  // versions opened, or its validation will fail. Moving an inode on that
+  // path breaks the path as it would break a LockPath, so the read takes
+  // its result here, before the move.
+  std::vector<Inum> moved;
+  for (const Path* p : {&hd.call.a, &hd.call.b}) {
+    if (p == &hd.call.b && hd.call.kind != OpKind::kExchange) {
+      break;  // a rename's destination, if any, is locked, never crossed
+    }
+    if (auto ino = aspec_.Resolve(*p); ino.ok()) {
+      moved.push_back(*ino);
+    }
+  }
+  for (auto& [tid, d] : pool_) {
+    if (tid == helper || !d.optimistic || d.path.inos.empty() || d.lp_passed ||
+        d.opt_result.has_value() || d.shard != hd.shard) {
+      continue;
+    }
+    Inum cur = kRootInum;
+    for (const std::string& part : d.call.a.parts) {
+      const SpecInode* node = aspec_.Find(cur);
+      if (node == nullptr) {
+        break;
+      }
+      auto link = node->links.find(part);
+      if (link == node->links.end()) {
+        break;
+      }
+      cur = link->second;
+      if (std::find(moved.begin(), moved.end(), cur) != moved.end()) {
+        d.opt_result = RunOp(aspec_, d.call);  // a read: no effects
+        d.opt_helper = helper;
+        d.opt_seq = seq_;
+        break;
+      }
+    }
+  }
+}
+
 void CrlhMonitor::RemapPlaceholderLocked(Inum from, Inum to) {
   RemapInum(aspec_, from, to, index_.Parent(from));
   index_.Remap(aspec_, from, to);
@@ -499,6 +544,7 @@ void CrlhMonitor::OnLp(Tid tid, Inum created_ino) {
   }
 
   if (IsHelperOp(d.call.kind) && !opts_.fixed_lp_mode) {
+    ResolveOptReadersLocked(tid, d);
     // linothers: find the helping set and order, linearize each helped
     // thread's Aop, then the rename's own (paper Fig. 5).
     std::map<Tid, HelpReason> reasons;
@@ -522,6 +568,18 @@ void CrlhMonitor::OnLp(Tid tid, Inum created_ino) {
         pool_.at(target).abs_seq = seq_;
       }
     }
+  }
+  if (d.opt_result.has_value()) {
+    // A helper moved an inode on the validated reader's path after the
+    // walk: the read linearizes before that helper, where it got its result.
+    d.abs_result = std::move(*d.opt_result);
+    d.opt_result.reset();
+    d.has_abs_result = true;
+    d.abs_seq = d.opt_seq;
+    d.helper = d.opt_helper;
+    ++helped_ops_;
+    d.state = AopState::kDone;
+    return;
   }
   ApplyAopLocked(tid, d, created_ino, /*record_effects=*/false);
   d.abs_seq = seq_;

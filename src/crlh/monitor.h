@@ -149,6 +149,10 @@ class CrlhMonitor : public FsObserver {
   void ReportInvariantLocked(InvariantKind kind, Tid tid, bool passed);
   void ApplyAopLocked(Tid tid, Descriptor& d, Inum forced_ino, bool record_effects);
   void HelpThreadLocked(Tid helper, Tid target, HelpReason reason);
+  // Computes the abstract result of every optimistic reader that holds its
+  // target, has no result yet, and whose path crosses an inode helper `hd`
+  // moves (Descriptor::opt_result).
+  void ResolveOptReadersLocked(Tid helper, const Descriptor& hd);
   void ComputeFutLockPathLocked(Descriptor& d);
   void CheckGoodAfsLocked(const std::vector<InodeEffect>& diff);
   void RemapPlaceholderLocked(Inum from, Inum to);

@@ -11,7 +11,7 @@ std::set<Inum> DiffInums(const SpecFs& before, const SpecFs& after) {
   std::set<Inum> changed;
   for (const auto& [ino, node] : before.imap()) {
     const SpecInode* now = after.Find(ino);
-    if (now == nullptr || !(*now == node)) {
+    if (now == nullptr || !(*now == *node)) {
       changed.insert(ino);
     }
   }
@@ -26,7 +26,7 @@ std::set<Inum> DiffInums(const SpecFs& before, const SpecFs& after) {
 // The directory linking to `ino`, in `state` (tree => at most one).
 Inum ParentOf(const SpecFs& state, Inum ino) {
   for (const auto& [candidate, node] : state.imap()) {
-    for (const auto& [name, child] : node.links) {
+    for (const auto& [name, child] : node->links) {
       if (child == ino) {
         return candidate;
       }

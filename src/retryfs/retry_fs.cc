@@ -588,8 +588,7 @@ Status RetryFs::HandleTruncate(const HandleRef& handle, uint64_t size) {
 }
 
 SpecFs RetryFs::SnapshotSpec() const {
-  SpecFs out;
-  out.imap_mutable().clear();
+  SpecFs out;  // the walk replaces its root
   // Quiescent-only: walk without locks.
   struct Frame {
     const Node* node;
@@ -609,7 +608,7 @@ SpecFs RetryFs::SnapshotSpec() const {
         stack.push_back(Frame{child.get()});
       }
     }
-    out.imap_mutable()[node->ino] = std::move(spec);
+    out.Put(node->ino, std::move(spec));
   }
   // Placing inodes does not move the allocator; see AtomFs::SnapshotSpec.
   out.SetNextInum(out.imap().rbegin()->first + 1);

@@ -72,11 +72,10 @@ Inum Graft(const SpecFs& from, Inum src_ino, SpecFs& to) {
   SpecInode copy;
   copy.type = n->type;
   copy.data = n->data;
-  to.imap_mutable()[ni] = std::move(copy);
   for (const auto& [name, child] : n->links) {
-    const Inum ci = Graft(from, child, to);
-    to.imap_mutable()[ni].links[name] = ci;
+    copy.links[name] = Graft(from, child, to);
   }
+  to.Put(ni, std::move(copy));
   return ni;
 }
 
@@ -772,7 +771,7 @@ SpecFs ShardedFs::SnapshotSpec() const {
         continue;
       }
       const Inum ni = Graft(s, child, merged);
-      merged.imap_mutable()[kRootInum].links[name] = ni;
+      merged.FindMutable(kRootInum)->links[name] = ni;
     }
   }
   return merged;

@@ -1,5 +1,6 @@
 #include "src/txn/txn.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -156,12 +157,37 @@ bool TxnManager::ValidateLocked(const Txn& txn) const {
 
 void TxnManager::BumpVersionsLocked(const Footprint& fp) {
   ++clock_;
+  if (open_.empty()) {
+    // Every later transaction begins at clock_ or above, so no version up to
+    // now can fail its validation.
+    if (!entry_ver_.empty() || !subtree_ver_.empty()) {
+      entry_ver_.clear();
+      subtree_ver_.clear();
+    }
+    return;
+  }
   for (const std::string& p : fp.writes) {
     entry_ver_[p] = clock_;
   }
   for (const std::string& p : fp.subtrees) {
     subtree_ver_[p] = clock_;
   }
+  if (entry_ver_.size() + subtree_ver_.size() >= prune_at_) {
+    PruneVersionsLocked();
+  }
+}
+
+void TxnManager::PruneVersionsLocked() {
+  // A version at or below the oldest open snapshot fails no validation.
+  uint64_t floor = clock_;
+  for (const auto& [id, txn] : open_) {
+    floor = std::min(floor, txn->begin_clock);
+  }
+  auto stale = [floor](const auto& entry) { return entry.second <= floor; };
+  std::erase_if(entry_ver_, stale);
+  std::erase_if(subtree_ver_, stale);
+  // Doubling the threshold keeps pruning amortized O(1) per bump.
+  prune_at_ = std::max(kMinPruneAt, 2 * (entry_ver_.size() + subtree_ver_.size()));
 }
 
 Status TxnManager::LogCommittedLocked(TxnId id, const std::vector<OpCall>& ops) {
@@ -270,7 +296,7 @@ Result<TxnId> TxnManager::Begin() {
   auto txn = std::make_unique<Txn>();
   txn->id = next_txid_++;
   txn->begin_clock = clock_;
-  txn->view = mirror_;  // snapshot isolation: a private deep copy
+  txn->view = mirror_;  // snapshot isolation: shares the mirror's inodes
   const TxnId id = txn->id;
   open_.emplace(id, std::move(txn));
   m_begins_.Inc();
@@ -300,11 +326,13 @@ OpResult TxnManager::Apply(TxnId id, const OpCall& call) {
 }
 
 Status TxnManager::Abort(TxnId id) {
+  std::unique_ptr<Txn> txn;  // freed after the lock is released
   std::lock_guard<std::mutex> lk(mu_);
   auto it = open_.find(id);
   if (it == open_.end()) {
     return Status(Errc::kInval);
   }
+  txn = std::move(it->second);
   open_.erase(it);
   m_aborts_.Inc();
   GhostEvent(TraceEventType::kTxnAbort, id, /*conflict=*/0, 0);
@@ -313,12 +341,15 @@ Status TxnManager::Abort(TxnId id) {
 
 Status TxnManager::Commit(TxnId id) {
   const uint64_t t0 = NowNs();
+  // Declared before the lock, so both are freed after it is released.
+  std::unique_ptr<Txn> txn;
+  std::vector<PreImage> replaced;
   std::lock_guard<std::mutex> lk(mu_);
   auto it = open_.find(id);
   if (it == open_.end()) {
     return Status(Errc::kInval);
   }
-  std::unique_ptr<Txn> txn = std::move(it->second);
+  txn = std::move(it->second);
   open_.erase(it);  // OCC: a failed commit finishes the transaction too
 
   if (JournalFailedLocked()) {
@@ -336,29 +367,32 @@ Status TxnManager::Commit(TxnId id) {
     GhostEvent(TraceEventType::kTxnCommit, id, 0, commit_seq_);
     return Status::Ok();
   }
-  // Dry-run on a scratch copy of the committed mirror: the buffered ops ran
-  // against the snapshot, and validation says their footprint is unchanged,
-  // but all-or-nothing demands proof before the first real application.
-  SpecFs probe = mirror_;
+  // Dry run on the committed mirror itself, with its pre-image log on: the
+  // buffered ops ran against the snapshot, and validation says their
+  // footprint is unchanged, but all-or-nothing demands proof before the
+  // first real application. A failure restores the mirror's touched inodes.
+  mirror_.StartPreImageLog();
   for (const OpCall& call : txn->writes) {
-    if (Status st = RunOp(probe, call).status; !st.ok()) {
+    if (Status st = RunOp(mirror_, call).status; !st.ok()) {
+      mirror_.RestorePreImages();
       m_conflicts_.Inc();
       GhostEvent(TraceEventType::kTxnAbort, id, /*conflict=*/1, 0);
       return st;
     }
   }
   // Commit point (WAL flush / fsync). A log failure reaches the client as
-  // kIo with NOTHING applied — the inner FS, the mirror, and the clocks are
-  // untouched, so the in-memory state never runs ahead of a log that
-  // rejected the unit. The poisoned writer fail-stops all later commits.
+  // kIo with NOTHING applied — the inner FS and the clocks are untouched and
+  // the mirror is restored, so the in-memory state never runs ahead of a
+  // log that rejected the unit. The poisoned writer fail-stops all later
+  // commits.
   if (Status logged = LogCommittedLocked(id, txn->writes); !logged.ok()) {
+    mirror_.RestorePreImages();
     return logged;
   }
+  replaced = mirror_.TakePreImageLog();
   for (const OpCall& call : txn->writes) {
     const Status inner_st = RunOp(*inner_, call).status;
     ATOMFS_CHECK(inner_st.ok() && "validated transactional op failed on inner fs");
-    const Status mirror_st = RunOp(mirror_, call).status;
-    ATOMFS_CHECK(mirror_st.ok());
   }
   GhostEvent(TraceEventType::kTxnCommit, id, txn->writes.size(), commit_seq_);
   m_commits_.Inc();
@@ -454,6 +488,11 @@ bool TxnManager::journal_failed() const {
 uint64_t TxnManager::checkpoints_taken() const {
   std::lock_guard<std::mutex> lk(mu_);
   return checkpoints_taken_;
+}
+
+size_t TxnManager::tracked_versions() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return entry_ver_.size() + subtree_ver_.size();
 }
 
 }  // namespace atomfs

@@ -9,20 +9,27 @@
 //     auto-committed single-op transactions: they run on the inner FS under
 //     the commit lock, are journaled as txid-0 WAL records, and bump the
 //     conflict clocks so open transactions observe them.
-//   * Begin() clones the committed abstract state (a SpecFs mirror of the
-//     inner FS) into a private per-transaction view: snapshot isolation with
-//     read-your-writes. Ops applied via Apply() execute against the view and
-//     are buffered; nothing touches the real FS until commit.
+//   * Begin() snapshots the committed abstract state (a SpecFs mirror of the
+//     inner FS) as a private per-transaction view: snapshot isolation with
+//     read-your-writes. The view is a SpecFs copy, so it shares the mirror's
+//     inodes and only an inode written on either side is cloned. Ops applied
+//     via Apply() execute against the view and are buffered; nothing
+//     touches the real FS until commit.
 //   * Commit() is classic OCC backward validation under one commit mutex:
 //     the transaction's path footprint (entries read/written, subtrees
 //     moved) is checked against two version maps — per-entry versions, and
 //     per-subtree versions that rename/exchange/unlink/rmdir bump so a moved
 //     ancestor invalidates everything beneath it. A stale footprint returns
 //     kTxConflict and the transaction rolls back whole. A valid transaction
-//     is dry-run on a copy of the mirror (all-or-nothing: any op failure
-//     aborts with that status before anything is applied), then journaled as
-//     begin / op* / commit records and flushed — the commit point — and only
-//     then applied to the inner FS and the mirror.
+//     is dry-run on the mirror itself with the mirror's pre-image log on
+//     (all-or-nothing: any op failure restores the touched inodes and
+//     aborts with that status before the inner FS is touched), then
+//     journaled as begin / op* / commit records and flushed — the commit
+//     point — and only then applied to the inner FS. A failed flush
+//     restores the mirror the same way.
+//   * The version maps only hold what an open transaction can still fail
+//     on: versions at or below the oldest open snapshot are pruned, and
+//     with no transaction open nothing is recorded.
 //
 // Durability refinement (checked by src/txn/crash.h): because the WAL flush
 // precedes application and recovery replays whole committed transactions in
@@ -184,6 +191,8 @@ class TxnManager : public FileSystem, public TxnHost {
   bool journal_failed() const;
   // Checkpoints taken by this instance (explicit + threshold-triggered).
   uint64_t checkpoints_taken() const;
+  // Entries in the two OCC version maps together.
+  size_t tracked_versions() const;
 
  private:
   // The path footprint of one op: entries whose version the op depends on,
@@ -204,7 +213,11 @@ class TxnManager : public FileSystem, public TxnHost {
   };
 
   bool ValidateLocked(const Txn& txn) const;
+  // Records the footprint's versions at a new clock tick. With no open
+  // transaction it records nothing and empties both maps instead.
   void BumpVersionsLocked(const Footprint& fp);
+  // Drops every version no open transaction's validation can fail on.
+  void PruneVersionsLocked();
   // Appends + flushes (and optionally fsyncs) the unit's records — the
   // commit point. kIo poisons the writer: the unit is NOT durable and the
   // caller must not apply it anywhere.
@@ -242,6 +255,8 @@ class TxnManager : public FileSystem, public TxnHost {
   std::unordered_map<TxnId, std::unique_ptr<Txn>> open_;
   std::unordered_map<std::string, uint64_t> entry_ver_;
   std::unordered_map<std::string, uint64_t> subtree_ver_;
+  static constexpr size_t kMinPruneAt = 1024;
+  size_t prune_at_ = kMinPruneAt;  // version count that triggers a prune
   std::vector<CommitDescriptor> commit_log_;
 
   Counter m_begins_, m_commits_, m_aborts_, m_conflicts_;

@@ -156,7 +156,7 @@ TEST(Effects, DeepMkdirRecordsOnlyParentAndCreation) {
   // the inode the Aop created.
   EXPECT_EQ(EffectInums(fx), (std::set<Inum>{parent, 900}));
   for (const auto& e : fx) {
-    EXPECT_EQ(e.before.has_value(), e.ino == parent);
+    EXPECT_EQ(static_cast<bool>(e.before), e.ino == parent);
   }
   EXPECT_TRUE(spec.Find(parent)->links.count("d") == 1);
 }

@@ -85,7 +85,7 @@ TEST(WellFormedNegative, UnreachableInode) {
   SpecFs spec;
   SpecInode orphan;
   orphan.type = FileType::kFile;
-  spec.imap_mutable().emplace(777, std::move(orphan));
+  spec.Put(777, std::move(orphan));
   EXPECT_FALSE(spec.WellFormed());
 }
 
@@ -111,7 +111,7 @@ TEST(WellFormedNegative, CycleThroughRoot) {
 
 TEST(WellFormedNegative, MissingRoot) {
   SpecFs spec;
-  spec.imap_mutable().erase(kRootInum);
+  spec.Erase(kRootInum);
   EXPECT_FALSE(spec.WellFormed());
 }
 

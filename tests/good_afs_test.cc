@@ -6,7 +6,7 @@
 // refused renames into a descendant and helped creations whose ghost
 // placeholders are later remapped to concrete inums; both verdicts must
 // accept after every step and the index must equal one rebuilt from scratch.
-// Negative direction: every corruption kind, injected through imap_mutable()
+// Negative direction: every corruption kind, injected through Put/FindMutable
 // with a matching diff at many reachable states, must be rejected by both.
 
 #include "src/crlh/good_afs.h"
@@ -94,11 +94,14 @@ class Corruptor {
 
   SpecInode& Mut(Inum ino) {
     Record(ino);
-    return spec_.imap_mutable()[ino];
+    if (spec_.Find(ino) == nullptr) {
+      spec_.Put(ino, SpecInode{});
+    }
+    return *spec_.FindMutable(ino);
   }
   void Free(Inum ino) {
     Record(ino);
-    spec_.imap_mutable().erase(ino);
+    spec_.Erase(ino);
   }
   std::vector<InodeEffect> TakeDiff() { return std::move(diff_); }
 
@@ -109,8 +112,8 @@ class Corruptor {
         return;
       }
     }
-    const SpecInode* node = spec_.Find(ino);
-    diff_.push_back(InodeEffect{ino, node == nullptr ? std::nullopt : std::optional(*node)});
+    auto it = spec_.imap().find(ino);
+    diff_.push_back(InodeEffect{ino, it == spec_.imap().end() ? InodeRef() : it->second});
   }
 
   SpecFs& spec_;
@@ -122,7 +125,7 @@ template <typename Pred>
 Inum Pick(const SpecFs& spec, Rng& rng, Pred pred) {
   std::vector<Inum> candidates;
   for (const auto& [ino, node] : spec.imap()) {
-    if (pred(ino, node)) {
+    if (pred(ino, *node)) {
       candidates.push_back(ino);
     }
   }

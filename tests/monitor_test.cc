@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace atomfs {
 namespace {
 
@@ -214,6 +219,131 @@ TEST(MonitorUnit, QuiescentMismatchDetected) {
   m.OnOpEnd(1, Ok());
   SpecFs empty_tree;  // does not contain /a
   EXPECT_FALSE(m.CheckQuiescent(empty_tree));
+}
+
+// An optimistic reader that locked its target holds only that lock; a
+// rename of an ancestor can reach its LP before the reader reports its
+// validation and its LP. The rename computes the read's result first, so the
+// read linearizes on the path it walked.
+TEST(MonitorUnit, RenameHelpsValidatedOptimisticReader) {
+  CrlhMonitor m;
+  m.OnOpBegin(3, Mkdir("/a"));
+  m.OnLockAcquired(3, kRootInum, LockPathRole::kSingle);
+  m.OnLp(3, 5);
+  m.OnLockReleased(3, kRootInum);
+  m.OnOpEnd(3, Ok());
+  m.OnOpBegin(3, Mkdir("/a/b"));
+  m.OnLockAcquired(3, kRootInum, LockPathRole::kSingle);
+  m.OnLockAcquired(3, 5, LockPathRole::kSingle);
+  m.OnLockReleased(3, kRootInum);
+  m.OnLp(3, 6);
+  m.OnLockReleased(3, 5);
+  m.OnOpEnd(3, Ok());
+
+  m.OnOpBegin(2, Stat("/a/b"));
+  m.OnOptWalkStart(2);
+  m.OnLockAcquired(2, 6, LockPathRole::kOptTarget);
+
+  m.OnOpBegin(1, Rename("/a", "/c"));
+  m.OnLockAcquired(1, kRootInum, LockPathRole::kRenameCommon);
+  m.OnLockAcquired(1, 5, LockPathRole::kRenameSrc);
+  m.OnLp(1, kInvalidInum);
+  m.OnLockReleased(1, 5);
+  m.OnLockReleased(1, kRootInum);
+  m.OnOpEnd(1, Ok());
+
+  m.OnOptWalkValidate(2, OptValidation::kPass, 3);
+  m.OnLp(2, kInvalidInum);
+  EXPECT_EQ(m.helped_ops(), 1u);
+  m.OnLockReleased(2, 6);
+  OpResult stat = Ok();
+  stat.attr.ino = 6;
+  stat.attr.type = FileType::kDir;
+  m.OnOpEnd(2, stat);
+  ASSERT_TRUE(m.ok()) << m.violations()[0];
+  EXPECT_TRUE(m.Helplist().empty());
+  auto recs = m.Completed();
+  ASSERT_EQ(recs.size(), 4u);
+  EXPECT_TRUE(recs[3].helped);
+  EXPECT_EQ(recs[3].helper, 1u);
+}
+
+// The result a helper computed for an optimistic reader belongs to that
+// walk: a failed validation drops it, and the retry linearizes on its own.
+TEST(MonitorUnit, FailedValidationDropsTheHelperResult) {
+  CrlhMonitor m;
+  m.OnOpBegin(3, Mkdir("/a"));
+  m.OnLockAcquired(3, kRootInum, LockPathRole::kSingle);
+  m.OnLp(3, 5);
+  m.OnLockReleased(3, kRootInum);
+  m.OnOpEnd(3, Ok());
+
+  m.OnOpBegin(2, Stat("/a"));
+  m.OnOptWalkStart(2);
+  m.OnLockAcquired(2, 5, LockPathRole::kOptTarget);
+  m.OnOpBegin(1, Rename("/a", "/c"));
+  m.OnLockAcquired(1, kRootInum, LockPathRole::kRenameCommon);
+  m.OnLp(1, kInvalidInum);  // a rename that did not need the reader's target
+  m.OnLockReleased(1, kRootInum);
+  m.OnOpEnd(1, Ok());
+  m.OnOptWalkValidate(2, OptValidation::kFail, 2);
+  m.OnLockReleased(2, 5);
+  m.OnOptWalkFallback(2);
+  m.OnLockAcquired(2, kRootInum, LockPathRole::kSingle);
+  m.OnLp(2, kInvalidInum);
+  m.OnLockReleased(2, kRootInum);
+  m.OnOpEnd(2, Err(Errc::kNoEnt));
+  ASSERT_TRUE(m.ok()) << m.violations()[0];
+  EXPECT_EQ(m.helped_ops(), 0u);
+}
+
+// AbstractState() hands out a copy that shares the ghost state's inodes. A
+// reader on another thread must see a stable snapshot while the monitor
+// keeps applying Aops (each clones the inodes it writes), and dropping the
+// copy there must not race with the monitor's next write.
+TEST(MonitorUnit, AbstractStateCopyIsStableOnAnotherThread) {
+  CrlhMonitor m;
+  const int kDirs = 8;
+  const int kOps = 400;
+  auto mkdir = [&m](const std::string& path, std::vector<Inum> lock_path, Inum created) {
+    m.OnOpBegin(1, Mkdir(path));
+    for (Inum ino : lock_path) {
+      m.OnLockAcquired(1, ino, LockPathRole::kSingle);
+    }
+    for (size_t k = 0; k + 1 < lock_path.size(); ++k) {
+      m.OnLockReleased(1, lock_path[k]);
+    }
+    m.OnLp(1, created);
+    m.OnLockReleased(1, lock_path.back());
+    m.OnOpEnd(1, Ok());
+  };
+  for (int d = 0; d < kDirs; ++d) {
+    mkdir("/d" + std::to_string(d), {kRootInum}, 10 + d);
+  }
+  std::atomic<bool> done{false};
+  SpecFs held = m.AbstractState();  // read and dropped by the reader alone
+  std::thread reader([&done, &m, held = std::move(held)] {
+    const size_t held_links = held.Find(kRootInum)->links.size();
+    size_t last_total = 0;
+    while (!done.load()) {
+      SpecFs snap = m.AbstractState();
+      EXPECT_TRUE(snap.WellFormed());
+      EXPECT_GE(snap.imap().size(), last_total);
+      last_total = snap.imap().size();
+      // A copy held across many Aops never changes.
+      EXPECT_EQ(held.Find(kRootInum)->links.size(), held_links);
+      EXPECT_EQ(held.imap().size(), static_cast<size_t>(kDirs) + 1);
+    }
+  });
+  for (int i = 0; i < kOps; ++i) {
+    const int d = i % kDirs;
+    mkdir("/d" + std::to_string(d) + "/e" + std::to_string(i),
+          {kRootInum, static_cast<Inum>(10 + d)}, 100 + i);
+  }
+  done.store(true);
+  reader.join();
+  ASSERT_TRUE(m.ok()) << m.violations()[0];
+  EXPECT_EQ(m.AbstractState().imap().size(), static_cast<size_t>(kDirs + kOps + 1));
 }
 
 }  // namespace

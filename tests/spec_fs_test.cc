@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/afs/op.h"
 #include "src/core/atom_fs.h"
 #include "src/retryfs/retry_fs.h"
+#include "src/workload/trace.h"
 
 namespace atomfs {
 namespace {
@@ -245,7 +249,7 @@ TEST_F(SpecFsTest, StructurallyEqualIgnoresInums) {
   EXPECT_FALSE(StructurallyEqual(a, b));
 }
 
-// A file system's SnapshotSpec assembles the state through imap_mutable(),
+// A file system's SnapshotSpec assembles the state through Put(),
 // which does not move the allocator; the snapshot must still give later
 // creations fresh inodes rather than link them to existing ones.
 template <typename Fs>
@@ -308,6 +312,130 @@ TEST_F(SpecFsTest, RunOpDrivesAllKinds) {
   auto rmdir_res = RunOp(fs_, OpCall::RmdirOf(*ParsePath("/d")));
   EXPECT_TRUE(rmdir_res.status.ok());
   EXPECT_TRUE(fs_.WellFormed());
+}
+
+// --- copy-on-write ------------------------------------------------------------
+
+// Every inode's content, by value: what "unchanged" means below.
+std::map<Inum, SpecInode> Contents(const SpecFs& fs) {
+  std::map<Inum, SpecInode> out;
+  for (const auto& [ino, node] : fs.imap()) {
+    out.emplace(ino, *node);
+  }
+  return out;
+}
+
+// A state equal to `fs` that shares no inode with it.
+SpecFs DeepRebuild(const SpecFs& fs) {
+  SpecFs out;
+  for (const auto& [ino, node] : fs.imap()) {
+    out.Put(ino, SpecInode(*node));
+  }
+  out.SetNextInum(fs.imap().rbegin()->first + 1);
+  return out;
+}
+
+// /a/f (data "abc"), /a/g, /b/ (empty dir), /c/h (data "xyz").
+SpecFs CowBase() {
+  SpecFs fs;
+  EXPECT_TRUE(fs.Mkdir("/a").ok());
+  EXPECT_TRUE(fs.Mknod("/a/f").ok());
+  EXPECT_TRUE(fs.Write("/a/f", 0, Bytes("abc")).ok());
+  EXPECT_TRUE(fs.Mknod("/a/g").ok());
+  EXPECT_TRUE(fs.Mkdir("/b").ok());
+  EXPECT_TRUE(fs.Mkdir("/c").ok());
+  EXPECT_TRUE(fs.Mknod("/c/h").ok());
+  EXPECT_TRUE(fs.Write("/c/h", 0, Bytes("xyz")).ok());
+  return fs;
+}
+
+// One succeeding call of each of the eight mutators.
+std::vector<OpCall> EveryMutator() {
+  auto p = [](const char* s) { return *ParsePath(s); };
+  std::vector<std::byte> data{std::byte{7}, std::byte{8}};
+  return {OpCall::MkdirOf(p("/a/d")),        OpCall::MknodOf(p("/c/n")),
+          OpCall::RmdirOf(p("/b")),          OpCall::UnlinkOf(p("/a/g")),
+          OpCall::RenameOf(p("/a/f"), p("/c/r")), OpCall::ExchangeOf(p("/a"), p("/c")),
+          OpCall::WriteOf(p("/c/h"), 1, data),    OpCall::TruncateOf(p("/a/f"), 1)};
+}
+
+TEST(SpecFsCow, CopySharesEveryInode) {
+  const SpecFs a = CowBase();
+  const SpecFs b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  for (const auto& [ino, node] : a.imap()) {
+    EXPECT_EQ(b.Find(ino), node.get()) << ino;
+  }
+  EXPECT_TRUE(a == b);
+}
+
+TEST(SpecFsCow, EachMutatorLeavesTheOtherCopyUnchanged) {
+  for (const OpCall& call : EveryMutator()) {
+    for (bool mutate_copy : {true, false}) {
+      SpecFs original = CowBase();
+      SpecFs copy = original;
+      SpecFs& written = mutate_copy ? copy : original;
+      const SpecFs& watched = mutate_copy ? original : copy;
+      const auto before = Contents(watched);
+      ASSERT_TRUE(RunOp(written, call).status.ok()) << FormatTraceLine(call);
+      EXPECT_EQ(Contents(watched), before) << FormatTraceLine(call);
+      EXPECT_FALSE(written == watched) << FormatTraceLine(call);
+      EXPECT_TRUE(watched.WellFormed());
+      EXPECT_TRUE(written.WellFormed());
+    }
+  }
+}
+
+TEST(SpecFsCow, SoleOwnerWritesInPlaceSharedInodeIsCloned) {
+  SpecFs fs = CowBase();
+  const Inum f = *fs.Resolve(*ParsePath("/a/f"));
+  const SpecInode* alone = fs.Find(f);
+  ASSERT_TRUE(fs.Write("/a/f", 0, Bytes("A")).ok());
+  EXPECT_EQ(fs.Find(f), alone);
+  {
+    const SpecFs copy = fs;
+    ASSERT_TRUE(fs.Write("/a/f", 0, Bytes("B")).ok());
+    EXPECT_NE(fs.Find(f), alone);
+    EXPECT_EQ(copy.Find(f), alone);
+    EXPECT_EQ(copy.Find(f)->data[0], std::byte{'A'});
+  }
+  // The copy is gone, so the clone is the sole owner again.
+  const SpecInode* clone = fs.Find(f);
+  ASSERT_TRUE(fs.Write("/a/f", 0, Bytes("C")).ok());
+  EXPECT_EQ(fs.Find(f), clone);
+}
+
+TEST(SpecFsCow, RestorePreImagesRoundTrips) {
+  for (const OpCall& call : EveryMutator()) {
+    SpecFs fs = CowBase();
+    const SpecFs reference = DeepRebuild(fs);
+    SpecFs expected_alloc = fs;
+    const Inum next = expected_alloc.AllocInum();
+    fs.StartPreImageLog();
+    ASSERT_TRUE(RunOp(fs, call).status.ok()) << FormatTraceLine(call);
+    (void)RunOp(fs, OpCall::MknodOf(*ParsePath("/extra")));
+    (void)RunOp(fs, OpCall::WriteOf(*ParsePath("/c/h"), 5, {std::byte{1}}));
+    fs.RestorePreImages();
+    EXPECT_TRUE(fs == reference) << FormatTraceLine(call);
+    EXPECT_EQ(fs.AllocInum(), next) << FormatTraceLine(call);
+    // The log is over: later mutations are not undone by anything.
+    EXPECT_TRUE(fs.TakePreImageLog().empty());
+  }
+}
+
+TEST(SpecFsCow, CopyAndDeepRebuildAgree) {
+  SpecFs fs = CowBase();
+  SpecFs copy = fs;
+  ASSERT_TRUE(copy.Rename("/a/f", "/b/f").ok());
+  ASSERT_TRUE(copy.Write("/c/h", 3, Bytes("more")).ok());
+  for (const SpecFs* s : {&fs, &copy}) {
+    const SpecFs deep = DeepRebuild(*s);
+    EXPECT_EQ(s->Hash(), deep.Hash());
+    EXPECT_EQ(s->WellFormed(), deep.WellFormed());
+    EXPECT_TRUE(StructurallyEqual(*s, deep));
+    EXPECT_TRUE(*s == deep);
+  }
+  EXPECT_NE(fs.Hash(), copy.Hash());
+  EXPECT_FALSE(StructurallyEqual(fs, copy));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -304,11 +305,54 @@ TEST(Txn, ConcurrentCommitStressStaysSerializable) {
   for (int d = 0; d < kThreads; ++d) {
     ASSERT_TRUE(txn.Mkdir(P("/d" + std::to_string(d))).ok());
   }
+  // Files that direct ops rewrite in the mirror while open views share
+  // their inodes. Each always holds nothing or one 8-digit record.
+  const int kShared = 4;
+  auto shared_file = [](uint64_t n) { return P("/s" + std::to_string(n % kShared)); };
+  for (int s = 0; s < kShared; ++s) {
+    ASSERT_TRUE(txn.Mknod(shared_file(s)).ok());
+  }
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> direct_ops{0};
+  std::thread writer([&] {
+    for (uint64_t n = 1; !done.load(); ++n) {
+      if (n % 3 == 0) {
+        ASSERT_TRUE(txn.Truncate(shared_file(n), 0).ok());
+      } else {
+        char record[16];
+        std::snprintf(record, sizeof(record), "%08llu",
+                      static_cast<unsigned long long>(n % 100000000));
+        ASSERT_TRUE(txn.Write(shared_file(n), 0, Bytes(record)).ok());
+      }
+      direct_ops.fetch_add(1);
+    }
+  });
   std::atomic<uint64_t> committed{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kTxnsPerThread; ++i) {
+        // Snapshot probe: reads of a shared file repeat while direct ops
+        // rewrite it, and the view's own write (which clones the inode
+        // for the view alone) reads back on top of the snapshot.
+        {
+          const Path s = shared_file(static_cast<uint64_t>(t + i));
+          const TxnId probe = *txn.Begin();
+          const OpResult first = txn.Apply(probe, OpCall::ReadOf(s, 0, 16));
+          ASSERT_TRUE(first.status.ok());
+          ASSERT_TRUE(first.data.empty() || first.data.size() == 8);
+          const uint64_t seen = direct_ops.load();
+          for (int spin = 0; spin < 10000 && direct_ops.load() == seen; ++spin) {
+            std::this_thread::yield();
+          }
+          EXPECT_EQ(txn.Apply(probe, OpCall::ReadOf(s, 0, 16)).data, first.data);
+          ASSERT_TRUE(txn.Apply(probe, OpCall::TruncateOf(s, 3)).status.ok());
+          std::vector<std::byte> own(first.data.begin(),
+                                     first.data.begin() + std::min<size_t>(3, first.data.size()));
+          own.resize(3);
+          EXPECT_EQ(txn.Apply(probe, OpCall::ReadOf(s, 0, 16)).data, own);
+          ASSERT_TRUE(txn.Abort(probe).ok());
+        }
         // Mostly private files, occasionally a shared one to force real
         // conflicts; retry until the transaction lands.
         const bool shared = i % 5 == 0;
@@ -335,13 +379,53 @@ TEST(Txn, ConcurrentCommitStressStaysSerializable) {
   for (auto& th : threads) {
     th.join();
   }
+  done.store(true);
+  writer.join();
   EXPECT_EQ(committed.load(), static_cast<uint64_t>(kThreads * kTxnsPerThread));
   EXPECT_EQ(txn.open_txns(), 0u);
+  // The mirror kept up with the direct rewrites: a fresh view reads what
+  // the inner FS holds.
+  const TxnId check = *txn.Begin();
+  for (int s = 0; s < kShared; ++s) {
+    std::vector<std::byte> inner(16);
+    inner.resize(*fs.Read(shared_file(s), 0, inner));
+    EXPECT_EQ(txn.Apply(check, OpCall::ReadOf(shared_file(s), 0, 16)).data, inner);
+  }
+  ASSERT_TRUE(txn.Abort(check).ok());
   // Durability: recovery from the stress WAL reproduces the final state.
   AtomFs recovered;
   auto stats = RecoverJournal(log.path(), recovered);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(StructurallyEqual(fs.SnapshotSpec(), recovered.SnapshotSpec()));
+}
+
+// Versions at or below the oldest open snapshot are pruned, and none are
+// kept with no transaction open, so a long run over ever-new paths keeps the
+// OCC maps small. One transaction is open at every direct op here, so the
+// versions are recorded and only pruning bounds them.
+TEST(Txn, VersionMapsStayBoundedOverDistinctPaths) {
+  AtomFs fs;
+  TxnManager txn(BareOptions(&fs));
+  ASSERT_TRUE(txn.Mkdir(P("/d")).ok());
+  auto file = [](int i) { return P("/d/f" + std::to_string(i)); };
+  ASSERT_TRUE(txn.Mknod(file(0)).ok());
+  TxnId open = *txn.Begin();
+  ASSERT_TRUE(txn.Apply(open, OpCall::WriteOf(file(0), 0, Bytes("x"))).status.ok());
+  size_t peak = 0;
+  for (int i = 1; i <= 10000; ++i) {
+    ASSERT_TRUE(txn.Mknod(file(i)).ok());
+    const TxnId next = *txn.Begin();
+    ASSERT_TRUE(txn.Apply(next, OpCall::WriteOf(file(i), 0, Bytes("x"))).status.ok());
+    ASSERT_TRUE(txn.Commit(open).ok()) << i;
+    ASSERT_TRUE(txn.Unlink(file(i - 1)).ok());
+    open = next;
+    peak = std::max(peak, txn.tracked_versions());
+  }
+  // Unpruned, the maps would hold about three entries per iteration.
+  EXPECT_LE(peak, 2048u);
+  ASSERT_TRUE(txn.Commit(open).ok());
+  ASSERT_TRUE(txn.Unlink(file(10000)).ok());
+  EXPECT_EQ(txn.tracked_versions(), 0u);
 }
 
 }  // namespace
